@@ -129,7 +129,9 @@ def parse_config(raw: dict) -> dict:
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    cfg.setdefault("seed", 1234)
+    seed = cfg.setdefault("seed", 1234)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"config.seed={seed!r}; expected a non-negative integer")
     cfg.setdefault("label", kind)
     if kind in ("ber", "ber_aoa", "ber_distinct", "ber_short"):
         for key in ("snr_db", "ratios_db", "bits_target"):
@@ -490,9 +492,9 @@ def cmd_run(args) -> int:
             overrides[key] = json.loads(val)
         except json.JSONDecodeError:
             overrides[key] = val
-    cfg = load_config(args.preset, args.config, args.scale, overrides)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        overrides["seed"] = args.seed
+    cfg = load_config(args.preset, args.config, args.scale, overrides)
     env_path = run_preset(cfg, Path(args.out))
     print(env_path)
     return 0

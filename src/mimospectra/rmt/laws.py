@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -127,6 +128,19 @@ class DoubleSidedParams:
     @property
     def gamma(self) -> float:
         return self.num_users * self.num_cells / self.block_length
+
+    @cached_property
+    def upsilon_coeffs(self) -> tuple[float, float, float]:
+        """(c1, c2, c3): the weights of upsilon, upsilon^2 and upsilon^3 in
+        T(G); c1 is also ``a_lin``, the x-slope in the support scan's
+        inverse-function polynomial and its poles."""
+        k, l = self.num_users, self.num_cells
+        m, n, pa = self.num_antennas, self.block_length, self.num_aoas
+        ps, pi = self.p_signal, self.p_interference
+        c3 = 2.0 * k ** 3 * l ** 4 * pi * ps / (m * n * pa)
+        c2 = -2.0 * k ** 2 * l ** 3 * pi * ps * (1 / (m * n) + 1 / (m * pa) + 1 / (n * pa))
+        c1 = 2.0 * k * l ** 2 * pi * ps * (1 / m + 1 / n + 1 / pa)
+        return c1, c2, c3
 
     @classmethod
     def from_system(cls, sys_params) -> "DoubleSidedParams":
@@ -398,16 +412,13 @@ def _double_sided_coeffs(s: complex, p: DoubleSidedParams) -> np.ndarray:
     two-mass discriminant; squaring gives the degree-8 polynomial T^2 - Q
     whose physical root is selected by continuation.
     """
-    k, l = p.num_users, p.num_cells
-    m, n, pa = p.num_antennas, p.block_length, p.num_aoas
+    l = p.num_cells
     ps, pi = p.p_signal, p.p_interference
     ups = np.array([1.0, s])
     ups2 = npp.polymul(ups, ups)
     ups3 = npp.polymul(ups2, ups)
     gpoly = np.array([0.0, 1.0])
-    c3 = 2.0 * k ** 3 * l ** 4 * pi * ps / (m * n * pa)
-    c2 = -2.0 * k ** 2 * l ** 3 * pi * ps * (1 / (m * n) + 1 / (m * pa) + 1 / (n * pa))
-    c1 = 2.0 * k * l ** 2 * pi * ps * (1 / m + 1 / n + 1 / pa)
+    c1, c2, c3 = p.upsilon_coeffs
     t = npp.polymul(gpoly, npp.polyadd(npp.polyadd(c3 * ups3, c2 * ups2), c1 * ups))
     t = npp.polyadd(t, l * (pi + ps) * ups)
     t = npp.polyadd(t, np.array([pi - ps - l * pi]))
@@ -429,13 +440,10 @@ def double_sided_residual(s: complex, g: complex, params: DoubleSidedParams) -> 
     """Normalized residual of the unsquared defining relation T(G) = -R with
     the radical branch chosen to minimize it."""
     s, g = complex(s), complex(g)
-    k, l = params.num_users, params.num_cells
-    m, n, pa = params.num_antennas, params.block_length, params.num_aoas
+    l = params.num_cells
     ps, pi = params.p_signal, params.p_interference
     u = 1.0 + s * g
-    c3 = 2.0 * k ** 3 * l ** 4 * pi * ps / (m * n * pa)
-    c2 = -2.0 * k ** 2 * l ** 3 * pi * ps * (1 / (m * n) + 1 / (m * pa) + 1 / (n * pa))
-    c1 = 2.0 * k * l ** 2 * pi * ps * (1 / m + 1 / n + 1 / pa)
+    c1, c2, c3 = params.upsilon_coeffs
     t = g * (c3 * u ** 3 + c2 * u ** 2 + c1 * u) + l * (pi + ps) * u \
         + (pi - ps - l * pi) - 2.0 * l * pi * ps * g
     q = pi ** 2 * (1 + l * (u - 1)) ** 2 + ps ** 2 * (l * u - 1) ** 2 \

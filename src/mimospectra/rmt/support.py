@@ -2,15 +2,16 @@
 
 Each law's Stieltjes transform G(s) is increasing on real intervals outside
 the spectrum support, so its inverse s(x) is increasing exactly on the images
-of those intervals.  The scan solves the law's inverse-function polynomial in
-s on a signed log grid of real x, tracks the real solution branches by
-nearest-neighbour continuation, marks maximal increasing runs via central
-finite differences (extrema refined by a 3-point parabolic fit), and takes
-the support as the complement of the union of run images on [0, inf).
-
-Branch poles occur where the leading s-coefficient vanishes; the grid is
-split at those x before tracking so a pole crossing is never mistaken for an
-increasing run.
+of those intervals (Silverstein & Choi, J. Multivariate Anal. 1995).  The
+scan solves the law's inverse-function polynomial in s on a signed log grid
+of real x, split at the branch poles (where the leading s-coefficient
+vanishes), with one stacked companion-matrix eigen solve per segment.  Real
+roots of a real polynomial can only meet at a double root, so while the
+real-root count is constant the k-th sorted root is one branch; where the
+count changes, roots are matched to the previous branches by nearest
+distance.  Maximal increasing runs are marked via central finite differences
+(extrema refined by a 3-point parabolic fit), and the support is the
+complement of the union of run images on [0, inf).
 """
 
 from __future__ import annotations
@@ -105,19 +106,26 @@ class TruncationReport:
 # scan internals
 # ---------------------------------------------------------------------------
 
-def _real_roots(coeffs, rtol: float = 1e-7) -> np.ndarray:
+def _sorted_real_roots(coeffs: np.ndarray, rtol: float = 1e-7) -> np.ndarray:
+    """Real roots of each column of descending coefficients, shape (degree
+    + 1, n), as a (degree, n) array: ascending, NaN-padded.  Leading |c| <=
+    1e-300 are trimmed per column, as before a single ``np.roots`` call."""
     coeffs = np.asarray(coeffs, dtype=float)
-    nz = np.flatnonzero(np.abs(coeffs) > 1e-300)
-    if nz.size == 0:
-        return np.array([])
-    coeffs = coeffs[nz[0]:]
-    if coeffs.size < 2:
-        return np.array([])
-    r = np.roots(coeffs)
-    if r.size == 0:
-        return np.array([])
-    scale = max(1.0, np.max(np.abs(r)))
-    return np.sort(r[np.abs(r.imag) <= rtol * scale].real)
+    deg = coeffs.shape[0] - 1
+    big = np.abs(coeffs) > 1e-300
+    order = np.where(big.any(axis=0), deg - np.argmax(big, axis=0), 0)
+    out = np.full((deg, coeffs.shape[1]), np.nan)
+    for d in np.unique(order[order > 0]):
+        cols = order == d
+        c = coeffs[deg - d:, cols]
+        comp = np.zeros((c.shape[1], d, d))
+        comp[:, 0, :] = (-c[1:] / c[0]).T
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        r = np.linalg.eigvals(comp)
+        scale = np.maximum(1.0, np.max(np.abs(r), axis=1, keepdims=True))
+        out[:d, cols] = np.sort(np.where(np.abs(r.imag) <= rtol * scale,
+                                         r.real, np.nan), axis=1).T
+    return out
 
 
 def _split_at(xs: np.ndarray, cut_points) -> list[np.ndarray]:
@@ -131,33 +139,26 @@ def _split_at(xs: np.ndarray, cut_points) -> list[np.ndarray]:
     return [xs[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b - a >= 3]
 
 
-def _track_branches(coeff_fn, xs: np.ndarray, max_branches: int = 10) -> np.ndarray:
-    rows = np.full((max_branches, len(xs)), np.nan)
-    for j, xv in enumerate(xs):
-        roots = _real_roots(coeff_fn(xv))
-        if j == 0:
-            rows[:min(len(roots), max_branches), 0] = roots[:max_branches]
-            continue
-        prev = rows[:, j - 1]
-        cand = sorted(
-            (abs(rv - pv), i, k)
-            for i, pv in enumerate(prev) if not np.isnan(pv)
-            for k, rv in enumerate(roots)
-        )
-        used_i, used_k = set(), set()
-        for _, i, k in cand:
-            if i in used_i or k in used_k:
-                continue
-            used_i.add(i)
-            used_k.add(k)
-            rows[i, j] = roots[k]
-        for k, rv in enumerate(roots):
-            if k in used_k:
-                continue
-            fresh = [i for i in range(max_branches)
-                     if np.isnan(rows[i, j]) and np.isnan(prev[i])]
-            if fresh:
-                rows[fresh[0], j] = rv
+def _track_branches(coeff_fn, xs: np.ndarray) -> list[np.ndarray]:
+    """One NaN-padded row per real branch over a pole-free segment."""
+    roots = _sorted_real_roots(np.array(np.broadcast_arrays(*coeff_fn(xs))))
+    count = np.sum(~np.isnan(roots), axis=0)
+    cuts = np.flatnonzero(np.diff(count)) + 1
+    rows, live = [], []
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(xs)]):
+        # nearest-distance match to the previous point's branches (none at 0)
+        dist = np.abs(roots[:count[a], a] - roots[:len(live), a - 1][:, None])
+        new = [-1] * count[a]
+        for _ in range(min(dist.shape)):
+            i, k = np.unravel_index(np.argmin(dist), dist.shape)
+            new[k] = live[i]
+            dist[i, :] = dist[:, k] = np.inf
+        for k in range(count[a]):
+            if new[k] < 0:
+                new[k] = len(rows)
+                rows.append(np.full(len(xs), np.nan))
+            rows[new[k]][a:b] = roots[k, a:b]
+        live = new
     return rows
 
 
@@ -227,8 +228,9 @@ def scan_support(coeff_fn, grid: SupportGrid, pole_xs=(),
                  drop_near_zero: bool = True, label: str = "law") -> SpectralSupport:
     """Run the inverse-function scan and assemble support intervals.
 
-    ``coeff_fn(x)`` returns descending polynomial coefficients in s for real
-    dummy x; ``pole_xs`` lists real x where the leading coefficient vanishes.
+    ``coeff_fn(x)`` returns descending polynomial coefficients in s for an
+    array of real dummy x (one array or scalar per coefficient);
+    ``pole_xs`` lists real x where the leading coefficient vanishes.
     """
     xs_pos = grid.positive_side()
     gaps: list[tuple[float, float]] = []
@@ -280,7 +282,7 @@ def scan_support(coeff_fn, grid: SupportGrid, pole_xs=(),
 # per-law inverse-function polynomials (descending coefficients in s)
 # ---------------------------------------------------------------------------
 
-def onesided_inverse_coeffs(x: float, p: OneSidedParams) -> list[float]:
+def onesided_inverse_coeffs(x, p: OneSidedParams) -> list:
     """Cubic in s for the rank-l one-power product law (no zero atom)."""
     a, l = p.scale, p.inner_dim
     m, n, pa = p.m, p.n, p.p
@@ -302,17 +304,16 @@ def support_onesided(params: OneSidedParams,
                         pole_xs=(0.0,), label="one-sided")
 
 
-def double_inverse_coeffs(x: float, p: DoubleSidedParams) -> list[float]:
+def double_inverse_coeffs(x, p: DoubleSidedParams) -> list:
     """Quadratic in s for the truncated double-sided inverse function.
 
     The radical is removed by squaring; both quadratic roots are genuine
     inverse branches (they match the two preimages of the exact two-mass
     transform in the small-ratio limit), so no sign filtering applies.
     """
-    k, l = p.num_users, p.num_cells
-    m, n, pa = p.num_antennas, p.block_length, p.num_aoas
+    l = p.num_cells
     ps, pi = p.p_signal, p.p_interference
-    a_lin = 2.0 * k * l ** 2 * pi * ps * (1 / m + 1 / n + 1 / pa)
+    a_lin = p.upsilon_coeffs[0]
     av = a_lin * x + l * (pi + ps)
     cv = -l * pi + pi - ps - 2.0 * l * pi * ps * x
     q2 = l ** 2 * (ps - pi) ** 2 - av * av
@@ -323,15 +324,10 @@ def double_inverse_coeffs(x: float, p: DoubleSidedParams) -> list[float]:
 
 
 def _double_pole_xs(p: DoubleSidedParams) -> list[float]:
-    k, l = p.num_users, p.num_cells
+    l = p.num_cells
     ps, pi = p.p_signal, p.p_interference
-    a_lin = 2.0 * k * l ** 2 * pi * ps * (1 / p.num_antennas + 1 / p.block_length
-                                          + 1 / p.num_aoas)
-    c0 = l * (pi + ps)
-    out = [0.0]
-    for target in (l * (ps - pi), -l * (ps - pi)):
-        out.append((target - c0) / a_lin)
-    return out
+    a_lin, c0 = p.upsilon_coeffs[0], l * (pi + ps)
+    return [0.0] + [(target - c0) / a_lin for target in (l * (ps - pi), -l * (ps - pi))]
 
 
 def support_double_sided(params: DoubleSidedParams,
@@ -348,9 +344,9 @@ def support_double_sided(params: DoubleSidedParams,
     return support, report
 
 
-def distinct_inverse_coeffs(x: float, num_users: int, num_cells: int,
+def distinct_inverse_coeffs(x, num_users: int, num_cells: int,
                             num_antennas: int, block_length: int,
-                            num_aoas: int, p_interference: float) -> list[float]:
+                            num_aoas: int, p_interference: float) -> list:
     """Cubic in s for the interference law with equal per-cell AoA counts.
 
     This is the block-diagonal-fading analogue of the one-power law; the
@@ -389,7 +385,7 @@ def support_distinct(num_users: int, num_cells: int, num_antennas: int,
         grid, pole_xs=(0.0,), label="distinct-AoA")
 
 
-def iid_inverse_coeffs(x: float, p_s: float, alpha: float, gamma: float) -> list[float]:
+def iid_inverse_coeffs(x, p_s: float, alpha: float, gamma: float) -> list:
     """Quadratic in s for the rich-scattering one-power law (zero atom kept)."""
     c2 = -p_s * alpha * x ** 3
     c1 = (gamma - p_s * x * (2 * alpha - gamma - alpha * gamma)) * x

@@ -41,10 +41,16 @@ def trial_rng(seed, trial_index) -> np.random.Generator:
 
 
 def _workers() -> int:
+    """Thread-pool size from MIMOSPECTRA_WORKERS (default 1), capped at the
+    CPU count; a non-integer or a value below 1 is a config error."""
+    raw = os.environ.get("MIMOSPECTRA_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("MIMOSPECTRA_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MIMOSPECTRA_WORKERS={raw!r}; expected an integer >= 1")
+    return min(workers, os.cpu_count() or 1)
 
 
 def _map_trials(fn, n_trials: int):

@@ -177,6 +177,26 @@ class TestMainEntry:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        rc = cli.main(["run", "--preset", "fig3", "--seed", "-1",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error") and "seed" in err
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True])
+    def test_non_integer_seed_in_config_exit_code(self, tmp_path, capsys, seed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(_tiny_eigen_cfg(), seed=seed)))
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error") and "seed" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self, capsys):
         rc = cli.main(["support", "--mode", "onesided", "--params", "/nope.json"])
         assert rc == 2

@@ -1,8 +1,11 @@
 """Support-boundary solvers against Monte Carlo extreme eigenvalues."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import mimospectra.rmt.support as support_mod
 from conftest import crandn, onesided_product_eigs, steering
 from mimospectra import rmt
 from mimospectra.errors import ConfigError
@@ -188,3 +191,157 @@ class TestAntennaSaturationLimit:
             lambda s: rmt.stieltjes_iid_limit(s, P_S, K / p_count, K / N),
             xs, eps=1e-4)
         assert np.abs(dens_phys - dens_iid).max() < 0.05 * dens_iid.max()
+
+
+class TestSortedRealRoots:
+    """The batched companion-matrix root finder against per-point np.roots."""
+
+    @staticmethod
+    def _per_point(coeffs):
+        out = np.full((coeffs.shape[0] - 1, coeffs.shape[1]), np.nan)
+        for j, c in enumerate(coeffs.T):
+            nz = np.flatnonzero(np.abs(c) > 1e-300)
+            c = c[nz[0]:] if nz.size else c[:0]
+            r = np.roots(c) if c.size >= 2 else np.array([])
+            if r.size:
+                real = r[np.abs(r.imag) <= 1e-7 * max(1.0, np.abs(r).max())].real
+                out[:real.size, j] = np.sort(real)
+        return out
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_matches_per_point_np_roots(self, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = rng.standard_normal((degree + 1, 200))
+        coeffs[0, 7] = 0.0          # leading coefficient 0: one degree lower
+        coeffs[:, 11] = 0.0         # identically zero: no roots
+        # (s - 1)^2 - t [times (s + 3) for the cubic]: a real pair merges at
+        # the double root s = 1 when t = 0 and leaves the real axis
+        c = 1.0 - np.linspace(1.0, -1.0, 41)
+        one = np.ones_like(c)
+        pair = (np.array([one, -2.0 * one, c]) if degree == 2
+                else np.array([one, one, c - 6.0, 3.0 * c]))
+        coeffs = np.concatenate([coeffs, pair], axis=1)
+        got = support_mod._sorted_real_roots(coeffs)
+        want = self._per_point(coeffs)
+        assert got.shape == (degree, 241)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        counts = np.sum(~np.isnan(got[:, 200:]), axis=0)
+        assert counts[0] == degree and counts[-1] == degree - 2
+        assert np.sum(~np.isnan(got[:, 7])) <= degree - 1
+        assert np.all(np.isnan(got[:, 11]))
+
+    def test_branch_keeps_its_row_when_a_pair_appears_below(self):
+        # (s - 1)^2 - t times (s - 3): for t > 0 a real pair 1 +- sqrt(t)
+        # appears below s = 3, whose sorted index moves from 0 to 2
+        t = np.linspace(-1.0, 1.0, 40)
+        rows = support_mod._track_branches(
+            lambda x: [1.0, -5.0, 7.0 - x, 3.0 * x - 3.0], t)
+        assert len(rows) == 3
+        full = [r for r in rows if not np.isnan(r).any()]
+        assert len(full) == 1
+        np.testing.assert_allclose(full[0], 3.0, rtol=1e-12)
+        pair = sorted((r for r in rows if np.isnan(r).any()), key=np.nanmean)
+        for row, sign in zip(pair, (-1.0, 1.0)):
+            np.testing.assert_array_equal(np.isnan(row), t < 0)
+            np.testing.assert_allclose(row[t > 0], 1.0 + sign * np.sqrt(t[t > 0]),
+                                       rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# regression pins: intervals recorded from the per-point np.roots scan with
+# greedy nearest-neighbour branch matching, on the default 10^4-point grid
+# ---------------------------------------------------------------------------
+
+PS_FIG, PI_FIG = 10 ** (-10 / 10), 10 ** (-16 / 10)   # fig1-fig5 powers
+
+
+def _one(scale, inner, m=M, n=N, p=P):
+    return rmt.support_onesided(rmt.OneSidedParams(scale=scale, inner_dim=inner,
+                                                   m=m, n=n, p=p))
+
+
+def _double(ps, pi, k=K, l=L, m=M, n=N, p=P):
+    return rmt.support_double_sided(rmt.DoubleSidedParams(
+        num_users=k, num_cells=l, num_antennas=m, block_length=n, num_aoas=p,
+        p_signal=ps, p_interference=pi))[0]
+
+
+# name -> (scan, recorded intervals, or None where the scan raises ConfigError);
+# fig* rows are the law calls of the fig1/fig2/fig3/fig5 presets (before N
+# scaling), the rest are the parameter sets used elsewhere in this file (its
+# P_S one-sided and i.d. sets coincide with the fig rows)
+SUPPORT_PINS = {
+    "fig_onesided_signal": (
+        lambda: _one(PS_FIG, K),
+        [(0.06399668660531846, 0.1468451688430047)]),
+    "fig_onesided_interference": (
+        lambda: _one(PI_FIG, K * (L - 1)),
+        [(0.011005110982550354, 0.047386071471890834)]),
+    "fig_iid_signal": (
+        lambda: rmt.support_iid(PS_FIG, K / M, K / N),
+        [(0.0756112643461633, 0.12860513351808683)]),
+    "fig_iid_interference": (
+        lambda: rmt.support_iid(PI_FIG, K * (L - 1) / M, K * (L - 1) / N),
+        [(0.015143230230188539, 0.038267435743289724)]),
+    "fig_double_sided": (
+        lambda: _double(PS_FIG, PI_FIG),
+        [(0.009572902702250854, 0.04404049539098122),
+         (0.0677080097490129, 0.14952571485338917)]),
+    "fig5_distinct_interference": (
+        lambda: rmt.support_distinct(K, L, M, N, P, PI_FIG),
+        [(0.01354768406426176, 0.04178931616453926)]),
+    "onesided_interference": (
+        lambda: _one(P_I, K * (L - 1)),
+        [(0.010953033989202502, 0.04716183718467698)]),
+    "onesided_square": (
+        lambda: _one(1.0, 50, 500, 500, 500),
+        [(0.2588546797560945, 2.534626812709569)]),
+    "double_sided": (
+        lambda: _double(P_S, P_I),
+        [(0.00952831441010039, 0.04383623391269516),
+         (0.06767553869472474, 0.1495015779325513)]),
+    "double_equal_powers": (
+        lambda: _double(P_S, P_S),
+        [(0.03453788757266135, 0.19946211118289792)]),
+    "double_p25": (
+        lambda: _double(P_S, P_I, p=25),
+        [(0.00013769201111252496, 0.23468011432465535)]),
+    "double_p50": (
+        lambda: _double(P_S, P_I, p=50),
+        [(0.00288090888240283, 0.05517357491892492),
+         (0.05760499476171336, 0.1911321875738467)]),
+    "double_p100": (
+        lambda: _double(P_S, P_I, p=100),
+        [(0.006510373606319719, 0.04863632145017146),
+         (0.06245195157998344, 0.1650263532854167)]),
+    "double_pathological": (
+        lambda: _double(0.1, 0.1, k=10, l=1, m=10, n=10, p=10),
+        None),
+    "distinct": (
+        lambda: rmt.support_distinct(K, L, M, N, P, P_I),
+        [(0.013484992206563696, 0.0415953859412137)]),
+    "distinct_two_cells": (
+        lambda: rmt.support_distinct(K, 2, M, N, P, P_I),
+        [(0.01599859977692816, 0.03672214064619902)]),
+    "distinct_narrow_grid": (
+        lambda: rmt.support_distinct(K, L, M, N, P, P_I, grid=rmt.SupportGrid(
+            x_min=1e-6, x_max=3.0, points=2000)),
+        [(-0.3329859043390944, 0.33374097564374444)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_PINS))
+def test_support_matches_recorded_intervals(name):
+    scan, expected = SUPPORT_PINS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if expected is None:
+            with pytest.raises(ConfigError):
+                scan()
+            return
+        got = scan().intervals
+    assert len(got) == len(expected)
+    for (lo, hi), (elo, ehi) in zip(got, expected):
+        assert lo == pytest.approx(elo, rel=1e-6)
+        assert hi == pytest.approx(ehi, rel=1e-6)

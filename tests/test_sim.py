@@ -1,5 +1,7 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,25 @@ class TestSaturationShapeBattery:
             bers.append(res["subspace"].points[0].ber)
         assert bers[0] >= bers[1] >= bers[2]
         assert (bers[1] - bers[2]) < (bers[0] - bers[1])
+
+
+class TestWorkerCount:
+    def test_default_is_serial(self, monkeypatch):
+        monkeypatch.delenv("MIMOSPECTRA_WORKERS", raising=False)
+        assert sim._workers() == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_value_is_config_error(self, monkeypatch, raw):
+        monkeypatch.setenv("MIMOSPECTRA_WORKERS", raw)
+        with pytest.raises(ConfigError, match="MIMOSPECTRA_WORKERS"):
+            sim._workers()
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("MIMOSPECTRA_WORKERS", "64")
+        assert sim._workers() == 3
+        monkeypatch.setenv("MIMOSPECTRA_WORKERS", "2")
+        assert sim._workers() == 2
 
 
 class TestWorkerScheduleInvariance:
