@@ -4,16 +4,14 @@ asymptotic eigenvalue-spectrum analytics."""
 __version__ = "0.1.0"
 
 from . import channel, estimation, rmt, sim
-from .channel import ChannelRealization, SignalBlock, SystemParams
-from .errors import BranchTrackingError, ConfigError, IterationError, NumericalError
+from .channel import ChannelRealization, SystemParams
+from .errors import BranchTrackingError, ConfigError, NumericalError
 
 __all__ = [
     "BranchTrackingError",
     "ChannelRealization",
     "ConfigError",
-    "IterationError",
     "NumericalError",
-    "SignalBlock",
     "SystemParams",
     "channel",
     "estimation",

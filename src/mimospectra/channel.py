@@ -4,8 +4,8 @@ Steering vectors follow a uniform linear array with element phase
 2*pi*(d/lambda)*(m-1)*cos(phi); angles of arrival are drawn uniformly on
 [0, pi].  Per-cell channels are H_i = S_i @ Hf_i with S_i the 1/sqrt(P)-scaled
 steering matrix and Hf_i unit-variance circularly symmetric Gaussian fading.
-The received block uses the worst-case power split: the served cell (index 0)
-transmits at p_signal, every other cell at p_interference.
+The received block (``sim.draw_block``) uses the worst-case power split: the
+served cell (index 0) transmits at p_signal, every other cell at p_interference.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ class SystemParams:
                 )
             object.__setattr__(self, "aoa_counts", tuple(int(p) for p in counts))
 
-    @property
-    def cell_aoa_counts(self) -> tuple[int, ...]:
-        if self.scenario == "iid":
-            return ()
-        return self.aoa_counts
-
 
 @dataclass
 class ChannelRealization:
@@ -116,13 +110,6 @@ class ChannelRealization:
     def cell_channel(self, i: int) -> np.ndarray:
         k = self.params.users_per_cell
         return self.composite[:, i * k:(i + 1) * k]
-
-
-@dataclass
-class SignalBlock:
-    received: np.ndarray            # M x N
-    transmitted: list[np.ndarray]   # per cell, K x N
-    noise: np.ndarray               # M x N, zeros when noise disabled
 
 
 def steering_vector(angle: float, num_antennas: int, spacing_ratio: float) -> np.ndarray:
@@ -186,26 +173,3 @@ def realize_channel(params: SystemParams, seed) -> ChannelRealization:
     return ChannelRealization(params=params, steering=steering, fading=fading,
                               composite=composite)
 
-
-def received_block(ch: ChannelRealization, params: SystemParams,
-                   symbols: list[np.ndarray], seed) -> SignalBlock:
-    """Y = sqrt(p_s) H_1 X_1 + sqrt(p_i) sum_{i>=2} H_i X_i + W.
-
-    Cell 0 is the served cell.  W has CN(0,1) entries when noise is enabled,
-    zeros otherwise.
-    """
-    m, k, n_cells, n = (params.num_antennas, params.users_per_cell,
-                        params.num_cells, params.block_length)
-    if len(symbols) != n_cells:
-        raise ConfigError(f"expected {n_cells} symbol blocks, got {len(symbols)}")
-    for i, x in enumerate(symbols):
-        if x.shape != (k, n):
-            raise ConfigError(f"symbol block {i} has shape {x.shape}, expected {(k, n)}")
-    rng = _as_rng(seed)
-    y = np.zeros((m, n), dtype=complex)
-    for i in range(n_cells):
-        power = params.signal_power if i == 0 else params.interference_power
-        y += np.sqrt(power) * (ch.cell_channel(i) @ symbols[i])
-    noise = crandn(rng, m, n) if params.noise_enabled else np.zeros((m, n), dtype=complex)
-    y += noise
-    return SignalBlock(received=y, transmitted=list(symbols), noise=noise)

@@ -32,15 +32,7 @@ POWER_DB_KEYS = {"signal_power", "interference_power"}
 _SYSTEM_KEYS = {"scenario", "num_antennas", "users_per_cell", "num_cells",
                 "block_length", "aoa_counts", "signal_power", "interference_power",
                 "noise_enabled", "spacing_ratio"}
-_KIND_KEYS = {
-    "eigen": {"trials", "terms"},
-    "saturation": {"trials", "num_aoas", "m_physical"},
-    "ber": {"ratios_db", "snr_db", "bits_target", "m_values"},
-    "ber_aoa": {"ratios_db", "snr_db", "bits_target", "p_values", "include_iid"},
-    "ber_distinct": {"ratios_db", "snr_db", "bits_target", "p4_values"},
-    "ber_short": {"ratios_db", "snr_db", "bits_target", "n_values"},
-    "support_plot": {"modes"},
-}
+_BER_KEYS = {"ratios_db", "snr_db", "bits_target"}
 _COMMON_KEYS = {"kind", "label", "seed"} | _SYSTEM_KEYS
 
 
@@ -123,9 +115,9 @@ def parse_config(raw: dict) -> dict:
     """Validate a raw config dict: fill defaults, reject unknown keys."""
     cfg = _convert_db_keys(raw)
     kind = cfg.get("kind")
-    if kind not in _KIND_KEYS:
-        raise ConfigError(f"config.kind={kind!r}; expected one of {sorted(_KIND_KEYS)}")
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
+    if kind not in KINDS:
+        raise ConfigError(f"config.kind={kind!r}; expected one of {sorted(KINDS)}")
+    allowed = _COMMON_KEYS | KINDS[kind][0]
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
@@ -133,8 +125,8 @@ def parse_config(raw: dict) -> dict:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"config.seed={seed!r}; expected a non-negative integer")
     cfg.setdefault("label", kind)
-    if kind in ("ber", "ber_aoa", "ber_distinct", "ber_short"):
-        for key in ("snr_db", "ratios_db", "bits_target"):
+    if _BER_KEYS <= allowed:
+        for key in sorted(_BER_KEYS):
             if key not in cfg:
                 raise ConfigError(f"config.{key} is required for kind={kind}")
         cfg["signal_power"] = sim.snr_db_to_signal_power(float(cfg["snr_db"]))
@@ -218,77 +210,78 @@ def _ber_payload(results: dict[str, sim.BerResult]) -> dict:
             for scheme, res in results.items()}
 
 
-def _run_kind(cfg: dict) -> dict:
-    kind = cfg["kind"]
-    seed = int(cfg["seed"])
-    params: SystemParams = cfg["_system"]
-    if kind == "eigen":
-        res = sim.run_eigen_experiment(params, int(cfg["trials"]), seed,
-                                       terms=cfg["terms"])
-        return {"eigen": _eigen_payload(res)}
-    if kind == "saturation":
-        phys, iid = sim.run_saturation_experiment(int(cfg["num_aoas"]),
-                                                  int(cfg["m_physical"]),
-                                                  params, int(cfg["trials"]), seed)
-        return {"saturation": {"physical": _eigen_payload(phys),
-                               "iid": _eigen_payload(iid)}}
-    if kind == "ber":
-        out = {}
-        for m in cfg.get("m_values") or [params.num_antennas]:
-            p = dataclasses.replace(params, num_antennas=int(m))
-            out[f"M={m}"] = _ber_payload(sim.run_ber_experiment(
-                p, cfg["ratios_db"], int(cfg["bits_target"]), seed))
-        iid_params = dataclasses.replace(params, scenario="iid", aoa_counts=())
-        out["iid"] = _ber_payload(sim.run_ber_experiment(
-            iid_params, cfg["ratios_db"], int(cfg["bits_target"]), seed))
-        return {"ber": out}
-    if kind == "ber_aoa":
-        out = {}
-        for p_count in cfg["p_values"]:
-            p = dataclasses.replace(params, aoa_counts=(int(p_count),) * params.num_cells)
-            out[f"P={p_count}"] = _ber_payload(sim.run_ber_experiment(
-                p, cfg["ratios_db"], int(cfg["bits_target"]), seed))
-        if cfg.get("include_iid", True):
-            iid_params = dataclasses.replace(params, scenario="iid", aoa_counts=())
-            out["iid"] = _ber_payload(sim.run_ber_experiment(
-                iid_params, cfg["ratios_db"], int(cfg["bits_target"]), seed))
-        return {"ber": out}
-    if kind == "ber_distinct":
-        fam = sim.run_distinct_aoa_ber(params, cfg["p4_values"], cfg["ratios_db"],
-                                       int(cfg["bits_target"]), seed)
-        return {"ber": {f"P4={p4}": _ber_payload(res) for p4, res in fam.items()}}
-    if kind == "ber_short":
-        fam = sim.run_short_coherence_ber(cfg["n_values"], float(cfg["snr_db"]),
-                                          cfg["ratios_db"], int(cfg["bits_target"]),
-                                          seed, num_antennas=params.num_antennas,
-                                          num_users=params.users_per_cell,
-                                          num_cells=params.num_cells)
-        return {"ber": {f"N={n}": _ber_payload(res) for n, res in fam.items()}}
-    if kind == "support_plot":
-        n = params.block_length
-        out = {}
-        for mode in cfg["modes"]:
-            if mode == "onesided":
-                sig = rmt.support_onesided(rmt.OneSidedParams.signal(params))
-                intf = rmt.support_onesided(rmt.OneSidedParams.interference(params))
-                out["onesided_signal"] = _support_payload(sig.scaled(n))
-                out["onesided_interference"] = _support_payload(intf.scaled(n))
-            elif mode == "double":
-                sup, rep = rmt.support_double_sided(rmt.DoubleSidedParams.from_system(params))
-                out["double_sided"] = _support_payload(sup.scaled(n))
-                out["truncation_flags"] = rep.flags
-            elif mode == "iid":
-                k, l, m = params.users_per_cell, params.num_cells, params.num_antennas
-                sig = rmt.support_iid(params.signal_power, k / m, k / n)
-                out["iid_signal"] = _support_payload(sig.scaled(n))
-                if l > 1 and params.interference_power > 0:
-                    intf = rmt.support_iid(params.interference_power,
-                                           k * (l - 1) / m, k * (l - 1) / n)
-                    out["iid_interference"] = _support_payload(intf.scaled(n))
-            else:
-                raise ConfigError(f"unknown support mode {mode!r}")
-        return {"supports": out}
-    raise ConfigError(f"unhandled kind {kind!r}")
+def _run_eigen(cfg: dict, params: SystemParams) -> dict:
+    res = sim.run_eigen_experiment(params, int(cfg["trials"]), int(cfg["seed"]),
+                                   terms=cfg["terms"])
+    return {"eigen": _eigen_payload(res)}
+
+
+def _run_saturation(cfg: dict, params: SystemParams) -> dict:
+    phys, iid = sim.run_saturation_experiment(int(cfg["num_aoas"]), int(cfg["m_physical"]),
+                                              params, int(cfg["trials"]), int(cfg["seed"]))
+    return {"saturation": {"physical": _eigen_payload(phys), "iid": _eigen_payload(iid)}}
+
+
+def _run_support_plot(cfg: dict, params: SystemParams) -> dict:
+    n = params.block_length
+    out = {}
+    for mode in cfg["modes"]:
+        if mode == "onesided":
+            sig = rmt.support_onesided(rmt.OneSidedParams.signal(params))
+            intf = rmt.support_onesided(rmt.OneSidedParams.interference(params))
+            out["onesided_signal"] = _support_payload(sig.scaled(n))
+            out["onesided_interference"] = _support_payload(intf.scaled(n))
+        elif mode == "double":
+            sup, rep = rmt.support_double_sided(rmt.DoubleSidedParams.from_system(params))
+            out["double_sided"] = _support_payload(sup.scaled(n))
+            out["truncation_flags"] = rep.flags
+        elif mode == "iid":
+            k, l, m = params.users_per_cell, params.num_cells, params.num_antennas
+            sig = rmt.support_iid(params.signal_power, k / m, k / n)
+            out["iid_signal"] = _support_payload(sig.scaled(n))
+            if l > 1 and params.interference_power > 0:
+                intf = rmt.support_iid(params.interference_power,
+                                       k * (l - 1) / m, k * (l - 1) / n)
+                out["iid_interference"] = _support_payload(intf.scaled(n))
+        else:
+            raise ConfigError(f"unknown support mode {mode!r}")
+    return {"supports": out}
+
+
+def _ber_runner(family):
+    """Runner for a BER kind: one ``sim.run_ber_sweep`` over the labelled
+    SystemParams variants that ``family(cfg, params)`` builds."""
+    def run(cfg: dict, params: SystemParams) -> dict:
+        results = sim.run_ber_sweep(family(cfg, params), cfg["ratios_db"],
+                                    int(cfg["bits_target"]), int(cfg["seed"]))
+        return {"ber": {label: _ber_payload(res) for label, res in results.items()}}
+    return run
+
+
+def _iid(params: SystemParams) -> dict[str, SystemParams]:
+    """The i.d. reference family of a BER sweep."""
+    return {"iid": dataclasses.replace(params, scenario="iid", aoa_counts=())}
+
+
+# kind -> (kind-specific config keys, runner(cfg, params) -> payload)
+KINDS = {
+    "eigen": ({"trials", "terms"}, _run_eigen),
+    "saturation": ({"trials", "num_aoas", "m_physical"}, _run_saturation),
+    "ber": (_BER_KEYS | {"m_values"}, _ber_runner(lambda cfg, p: {
+        **{f"M={m}": dataclasses.replace(p, num_antennas=int(m))
+           for m in cfg.get("m_values") or [p.num_antennas]},
+        **_iid(p)})),
+    "ber_aoa": (_BER_KEYS | {"p_values", "include_iid"}, _ber_runner(lambda cfg, p: {
+        **{f"P={c}": dataclasses.replace(p, aoa_counts=(int(c),) * p.num_cells)
+           for c in cfg["p_values"]},
+        **(_iid(p) if cfg.get("include_iid", True) else {})})),
+    "ber_distinct": (_BER_KEYS | {"p4_values"}, _ber_runner(lambda cfg, p: {
+        f"P4={p4}": q for p4, q in sim.distinct_aoa_variants(p, cfg["p4_values"]).items()})),
+    "ber_short": (_BER_KEYS | {"n_values"}, _ber_runner(lambda cfg, p: {
+        f"N={int(n)}": dataclasses.replace(p, block_length=int(n))
+        for n in cfg["n_values"]})),
+    "support_plot": ({"modes"}, _run_support_plot),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +301,7 @@ def run_preset(cfg: dict, out_dir: Path) -> Path:
     written: list[Path] = []
     t0 = time.time()
     try:
-        payload = _run_kind(cfg)
+        payload = KINDS[cfg["kind"]][1](cfg, cfg["_system"])
         envelope = {
             "config": {k: v for k, v in cfg.items() if not k.startswith("_")},
             "config_hash": config_hash(cfg),
@@ -452,9 +445,8 @@ def cmd_stieltjes(args) -> int:
                     "num_aoas", "p_signal", "p_interference"}, "double params")))
     else:
         raise ConfigError(f"unknown law {args.law!r}")
-    ev = rmt.StieltjesEval(argument=s, value=complex(g), law=args.law)
-    print(json.dumps({"law": ev.law, "s": [ev.argument.real, ev.argument.imag],
-                      "G": [ev.value.real, ev.value.imag]}))
+    g = complex(g)
+    print(json.dumps({"law": args.law, "s": [s.real, s.imag], "G": [g.real, g.imag]}))
     return 0
 
 

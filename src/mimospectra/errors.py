@@ -24,10 +24,3 @@ class BranchTrackingError(NumericalError):
         super().__init__(message)
         self.roots = list(roots) if roots is not None else []
 
-
-class IterationError(NumericalError):
-    """An iterative solve exhausted its budget; keeps the iterate trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace is not None else []

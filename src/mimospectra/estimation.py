@@ -127,16 +127,6 @@ def qpsk_map(bits: np.ndarray) -> np.ndarray:
     return ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) * QPSK_SCALE
 
 
-def qpsk_demap(symbols: np.ndarray) -> np.ndarray:
-    """Exact inverse of qpsk_map on noiseless symbols; nearest-symbol decision
-    otherwise."""
-    symbols = np.asarray(symbols).ravel()
-    out = np.empty((symbols.size, 2), dtype=np.int64)
-    out[:, 0] = symbols.real < 0
-    out[:, 1] = symbols.imag < 0
-    return out.ravel()
-
-
 def count_bit_errors(decisions: np.ndarray, reference: np.ndarray) -> int:
     """Bit errors between two QPSK symbol arrays of equal shape."""
     if decisions.shape != reference.shape:

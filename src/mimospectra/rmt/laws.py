@@ -164,15 +164,6 @@ class MixtureComponent:
             raise ConfigError("ratio must be positive")
 
 
-@dataclass(frozen=True)
-class StieltjesEval:
-    """One evaluated point with its law tag."""
-
-    argument: complex
-    value: complex
-    law: str
-
-
 # ---------------------------------------------------------------------------
 # Marchenko-Pastur quadratic
 # ---------------------------------------------------------------------------

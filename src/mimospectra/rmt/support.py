@@ -275,6 +275,10 @@ def scan_support(coeff_fn, grid: SupportGrid, pole_xs=(),
             "support may be incomplete", stacklevel=2)
     if not support:
         raise ConfigError(f"{label}: scan produced no positive support interval")
+    # a Gram matrix has no negative eigenvalues
+    if support[0][0] < 0:
+        raise ConfigError(f"{label}: x-grid did not resolve the bulk (interval "
+                          f"starts at {support[0][0]:.3g} < 0)")
     return SpectralSupport(intervals=support, grid=grid)
 
 

@@ -97,28 +97,68 @@ class EigenExperimentResult:
         return centers, density
 
 
-def _nonzero_block_eigs(composite: np.ndarray, scaled_symbols: np.ndarray,
-                        num_antennas: int, noise: np.ndarray | None) -> np.ndarray:
-    """Nonzero eigenvalues of Y Y^H / M with Y = composite @ scaled_symbols (+ noise).
+@dataclass
+class Block:
+    """One coherence block, restricted to a slice of the composite's columns.
+
+    ``amplitudes`` holds sqrt(power) per kept column; ``noise`` is None when
+    the params disable noise.
+    """
+
+    composite: np.ndarray   # M x C
+    symbols: np.ndarray     # C x N
+    amplitudes: np.ndarray  # C
+    noise: np.ndarray | None
+
+    @property
+    def scaled(self) -> np.ndarray:
+        return self.amplitudes[:, None] * self.symbols
+
+    @property
+    def received(self) -> np.ndarray:
+        """Y = composite @ (sqrt(powers) * X) + W."""
+        y = self.composite @ self.scaled
+        if self.noise is not None:
+            y += self.noise
+        return y
+
+
+def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
+               cols: slice = slice(None)) -> Block:
+    """Draw the channel, then the K*L x N symbols ``draw_symbols(rng)`` (rows
+    grouped by cell like the composite's columns), then the noise.
+
+    Powers follow the worst-case split of ``worst_case_power_diagonal``;
+    ``cols`` keeps a slice of the users (the eigen term selector).
+    """
+    k, l, n = params.users_per_cell, params.num_cells, params.block_length
+    ch = realize_channel(params, rng)
+    x = draw_symbols(rng)
+    if x.shape != (k * l, n):
+        raise ConfigError(f"symbols have shape {x.shape}, expected {(k * l, n)}")
+    noise = crandn(rng, params.num_antennas, n) if params.noise_enabled else None
+    powers = worst_case_power_diagonal(k, l, params.signal_power,
+                                       params.interference_power)
+    return Block(ch.composite[:, cols], x[cols], np.sqrt(powers[cols]), noise)
+
+
+def _nonzero_block_eigs(block: Block) -> np.ndarray:
+    """Nonzero eigenvalues of Y Y^H / M for one block.
 
     Noiseless blocks with few columns use the small product
     (H^H H / M)(X X^H) whose eigenvalues equal the nonzero spectrum.
     """
-    m = num_antennas
-    n_cols = composite.shape[1]
-    n = scaled_symbols.shape[1]
-    if noise is None and n_cols <= min(m, n):
+    composite, scaled = block.composite, block.scaled
+    m, n_cols = composite.shape
+    if block.noise is None and n_cols <= min(m, scaled.shape[1]):
         gram_h = composite.conj().T @ composite / m
-        gram_x = scaled_symbols @ scaled_symbols.conj().T
+        gram_x = scaled @ scaled.conj().T
         lam = np.linalg.eigvals(gram_h @ gram_x)
         if np.abs(lam.imag).max(initial=0.0) > 1e-6 * max(np.abs(lam).max(initial=0.0), 1e-300):
             raise ConfigError("product eigenvalues unexpectedly complex")
         lam = np.sort(lam.real)
     else:
-        y = composite @ scaled_symbols
-        if noise is not None:
-            y = y + noise
-        sv = np.linalg.svd(y, compute_uv=False)
+        sv = np.linalg.svd(block.received, compute_uv=False)
         lam = np.sort(sv ** 2 / m)
     keep = lam > NONZERO_EIG_RTOL * lam.max(initial=0.0)
     return lam[keep]
@@ -152,6 +192,11 @@ def _attach_supports(params: SystemParams, terms: str):
         except ConfigError as exc:
             warnings.warn(f"could not attach {name} support: {exc}", stacklevel=3)
 
+    if params.noise_enabled:
+        warnings.warn("could not attach supports: noise enabled, and the laws "
+                      "describe noiseless blocks", stacklevel=3)
+        return supports, truncation
+
     if params.scenario == "iid":
         if want_sig:
             try_attach("iid_signal", lambda: rmt.support_iid(
@@ -184,7 +229,10 @@ def _attach_supports(params: SystemParams, terms: str):
         try_attach("one_sided_signal", lambda: rmt.support_onesided(rmt.OneSidedParams(
             scale=params.signal_power, inner_dim=k, m=params.num_antennas,
             n=n, p=counts[0])))
-    if want_int and len(set(counts[1:])) == 1:
+    if want_int and len(set(counts[1:])) > 1:
+        warnings.warn("could not attach distinct_interference support: interfering "
+                      f"cells have unequal AoA counts {counts[1:]}", stacklevel=3)
+    elif want_int:
         try_attach("distinct_interference", lambda: rmt.support_distinct(
             k, l, params.num_antennas, n, counts[1], params.interference_power))
     return supports, truncation
@@ -202,17 +250,10 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
         raise ConfigError("trials must be >= 1")
     lo, hi = _term_columns(params, terms)
     k, l, n = params.users_per_cell, params.num_cells, params.block_length
-    powers = worst_case_power_diagonal(k, l, params.signal_power,
-                                       params.interference_power)
 
     def one_trial(t: int) -> np.ndarray:
-        rng = trial_rng(seed, t)
-        ch = realize_channel(params, rng)
-        x = crandn(rng, k * l, n)
-        noise = crandn(rng, params.num_antennas, n) if params.noise_enabled else None
-        composite = ch.composite[:, lo:hi]
-        scaled = np.sqrt(powers[lo:hi])[:, None] * x[lo:hi]
-        return _nonzero_block_eigs(composite, scaled, params.num_antennas, noise)
+        return _nonzero_block_eigs(draw_block(
+            params, trial_rng(seed, t), lambda rng: crandn(rng, k * l, n), slice(lo, hi)))
 
     samples = _map_trials(one_trial, trials)
     supports, truncation = _attach_supports(params, terms) if attach_supports else ({}, None)
@@ -257,9 +298,6 @@ class BerResult:
     params: SystemParams
     seed: int
 
-    def ber_array(self) -> np.ndarray:
-        return np.array([p.ber for p in self.points])
-
 
 def snr_db_to_signal_power(snr_db: float) -> float:
     """Per-user SNR wired as p_signal = 10^(SNR/10) against unit noise."""
@@ -281,35 +319,25 @@ def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple
     layout = PilotLayout(num_users=k, block_length=n)
     bits_per_block = 2 * k * layout.num_data
     n_blocks = max(2, int(np.ceil(bits_target / bits_per_block)))
-    rates = {s: np.empty(n_blocks) for s in SCHEMES}
+    pilot = layout.pilot_block()
+
+    def draw_symbols(rng):
+        return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(l)])
 
     def one_block(blk: int):
-        rng = trial_rng(seed, point_key + (blk,))
-        ch = realize_channel(params, rng)
-        pilot = layout.pilot_block()
-        data = [layout.data_block(rng) for _ in range(l)]
-        symbols = [layout.assemble(d) for d in data]
-        y = np.zeros((params.num_antennas, n), dtype=complex)
-        for i in range(l):
-            power = params.signal_power if i == 0 else params.interference_power
-            y += np.sqrt(power) * (ch.cell_channel(i) @ symbols[i])
-        if params.noise_enabled:
-            y += crandn(rng, params.num_antennas, n)
+        block = draw_block(params, trial_rng(seed, point_key + (blk,)), draw_symbols)
+        y, sent = block.received, block.symbols[:k, k:]
+        del block  # frees the noise before the estimator's SVD workspace
         model = estimate_subspace_channel(y, pilot, k)
         dec_sub = mf_detect(model.projected[:, k:], model.estimate)
         dec_pil = pilot_based_detect(y, pilot)
-        out = {}
-        for name, dec in (("subspace", dec_sub), ("pilot", dec_pil)):
-            out[name] = count_bit_errors(dec, data[0]) / bits_per_block
-        return out
+        return {name: count_bit_errors(dec, sent) / bits_per_block
+                for name, dec in (("subspace", dec_sub), ("pilot", dec_pil))}
 
     per_block = _map_trials(one_block, n_blocks)
-    for i, res in enumerate(per_block):
-        for s in SCHEMES:
-            rates[s][i] = res[s]
     out = {}
     for s in SCHEMES:
-        r = rates[s]
+        r = np.array([res[s] for res in per_block])
         mean = float(r.mean())
         half = 1.96 * float(r.std(ddof=1)) / np.sqrt(n_blocks)
         out[s] = (mean, max(mean - half, 0.0), mean + half, n_blocks * bits_per_block)
@@ -339,18 +367,28 @@ def run_ber_experiment(params: SystemParams, ratios_db, bits_target: int,
                          params=params, seed=seed) for s in SCHEMES}
 
 
+def run_ber_sweep(variants: dict, ratios_db, bits_target: int, seed: int) -> dict:
+    """``run_ber_experiment`` on each SystemParams variant of a family, keyed
+    as given; every variant sees the same seed."""
+    ratios_db = list(ratios_db)
+    return {key: run_ber_experiment(p, ratios_db, bits_target, seed)
+            for key, p in variants.items()}
+
+
+def distinct_aoa_variants(params: SystemParams, p4_values) -> dict[int, SystemParams]:
+    """fig8-preset family: the last cell's AoA count set to each P4."""
+    if params.scenario != "distinct_aoas":
+        raise ConfigError("distinct-AoA sweep requires the distinct_aoas scenario")
+    return {int(p4): replace(params, aoa_counts=params.aoa_counts[:-1] + (int(p4),))
+            for p4 in p4_values}
+
+
 def run_distinct_aoa_ber(params: SystemParams, p4_values, ratios_db,
                          bits_target: int, seed: int
                          ) -> dict[int, dict[str, BerResult]]:
     """fig8-preset family: sweep the last cell's AoA count."""
-    if params.scenario != "distinct_aoas":
-        raise ConfigError("distinct-AoA sweep requires the distinct_aoas scenario")
-    out = {}
-    for p4 in p4_values:
-        counts = params.aoa_counts[:-1] + (int(p4),)
-        out[int(p4)] = run_ber_experiment(replace(params, aoa_counts=counts),
-                                          ratios_db, bits_target, seed)
-    return out
+    return run_ber_sweep(distinct_aoa_variants(params, p4_values), ratios_db,
+                         bits_target, seed)
 
 
 def run_short_coherence_ber(n_values, snr_db: float, ratios_db,
@@ -359,11 +397,8 @@ def run_short_coherence_ber(n_values, snr_db: float, ratios_db,
                             num_cells: int = 4) -> dict[int, dict[str, BerResult]]:
     """fig9-preset family: i.d. channel with block length comparable to K*L."""
     p_s = snr_db_to_signal_power(snr_db)
-    out = {}
-    for n in n_values:
-        params = SystemParams(num_antennas=num_antennas, users_per_cell=num_users,
-                              num_cells=num_cells, block_length=int(n),
-                              signal_power=p_s, interference_power=p_s,
-                              noise_enabled=True, scenario="iid")
-        out[int(n)] = run_ber_experiment(params, ratios_db, bits_target, seed)
-    return out
+    return run_ber_sweep({int(n): SystemParams(
+        num_antennas=num_antennas, users_per_cell=num_users, num_cells=num_cells,
+        block_length=int(n), signal_power=p_s, interference_power=p_s,
+        noise_enabled=True, scenario="iid") for n in n_values},
+        ratios_db, bits_target, seed)

@@ -1,4 +1,5 @@
-"""Channel model: steering geometry, AoA draws, realizations, received blocks."""
+"""Channel model: steering geometry, AoA draws, realizations, received blocks
+(assembled by ``sim.draw_block``)."""
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from mimospectra.channel import (
     crandn,
     draw_aoa_set,
     realize_channel,
-    received_block,
     steering_vector,
 )
 from mimospectra.errors import ConfigError
+from mimospectra.sim import draw_block
 
 
 def _params(**kw):
@@ -157,12 +158,13 @@ class TestRealizeChannel:
         assert np.median(vals) < 0.1
 
 
+def _zeros(rng):
+    return np.zeros((20, 400), dtype=complex)
+
+
 class TestReceivedBlock:
     def test_zero_symbols_zero_output(self):
-        p = _params()
-        ch = realize_channel(p, 1)
-        zeros = [np.zeros((5, 400), dtype=complex)] * 4
-        blk = received_block(ch, p, zeros, 2)
+        blk = draw_block(_params(), np.random.default_rng(1), _zeros)
         assert np.all(blk.received == 0)
 
     @pytest.mark.parametrize("noise,expect", [(True, 1.875), (False, 0.875)])
@@ -174,32 +176,43 @@ class TestReceivedBlock:
         count = 0
         n_blocks = 1000 if not noise else 300
         for t in range(n_blocks):
-            g = np.random.default_rng((7, t))
-            ch = realize_channel(p, g)
-            x = [crandn(g, 5, 400) for _ in range(4)]
-            blk = received_block(ch, p, x, g)
+            blk = draw_block(p, np.random.default_rng((7, t)),
+                             lambda g: crandn(g, 20, 400))
             total += float((np.abs(blk.received) ** 2).sum())
             count += blk.received.size
         assert total / count == pytest.approx(expect, rel=0.02)
 
     def test_single_cell_column_exact(self):
         p = _params(num_cells=1, aoa_counts=(50,))
-        ch = realize_channel(p, 3)
-        x = [np.concatenate([np.eye(5), np.zeros((5, 395))], axis=1).astype(complex)]
-        blk = received_block(ch, p, x, 4)
+        eye = np.concatenate([np.eye(5), np.zeros((5, 395))], axis=1).astype(complex)
+        blk = draw_block(p, np.random.default_rng(3), lambda g: eye)
         np.testing.assert_allclose(blk.received[:, :5],
-                                   np.sqrt(0.1) * ch.composite, atol=1e-12)
+                                   np.sqrt(0.1) * blk.composite, atol=1e-12)
+        # the composite is the channel drawn first from the same stream
+        np.testing.assert_array_equal(
+            blk.composite, realize_channel(p, np.random.default_rng(3)).composite)
 
     def test_shape_mismatch(self):
-        p = _params()
-        ch = realize_channel(p, 1)
         with pytest.raises(ConfigError):
-            received_block(ch, p, [np.zeros((5, 10))] * 4, 0)
+            draw_block(_params(), np.random.default_rng(1),
+                       lambda g: np.zeros((5, 10)))
+
+    def test_matches_per_cell_sum(self):
+        # reference: sqrt(p_s) H_1 X_1 + sqrt(p_i) sum_{i>=2} H_i X_i + W,
+        # summed cell by cell; the builder does one matmul
+        p = _params(noise_enabled=True)
+        blk = draw_block(p, np.random.default_rng(5), lambda g: crandn(g, 20, 400))
+        g = np.random.default_rng(5)
+        ch = realize_channel(p, g)
+        x = crandn(g, 20, 400)
+        y = crandn(g, 100, 400)
+        for i in range(4):
+            power = p.signal_power if i == 0 else p.interference_power
+            y += np.sqrt(power) * (ch.cell_channel(i) @ x[5 * i:5 * (i + 1)])
+        np.testing.assert_allclose(blk.received, y, rtol=0, atol=1e-12)
 
     def test_determinism(self):
         p = _params(noise_enabled=True)
-        x = [crandn(np.random.default_rng(1), 5, 400) for _ in range(4)]
-        ch = realize_channel(p, 9)
-        a = received_block(ch, p, x, 13)
-        b = received_block(ch, p, x, 13)
+        a = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400))
+        b = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400))
         np.testing.assert_array_equal(a.received, b.received)

@@ -1,11 +1,13 @@
 """Config parsing, presets, envelopes, plot-data CSVs, and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mimospectra import cli, rmt
+from mimospectra import cli, rmt, sim
+from mimospectra.channel import SystemParams
 from mimospectra.errors import ConfigError, NumericalError
 
 
@@ -213,3 +215,81 @@ class TestMainEntry:
                        "--s-im", "0.5", "--params", str(params)])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+# one tiny config per kind; payload_pins.json holds the payloads recorded
+# for them, so a refactor that moves any output value fails here
+_PIN_BER = dict(num_antennas=16, users_per_cell=2, num_cells=2, block_length=24,
+                noise_enabled=True, spacing_ratio=0.5, snr_db=0.0,
+                ratios_db=[-6.0, 0.0], bits_target=400, seed=5)
+_PIN_SPECTRA = dict(scenario="identical_aoas", num_antennas=32, users_per_cell=2,
+                    num_cells=2, block_length=64, aoa_counts=[16],
+                    signal_power_db=-10.0, interference_power_db=-16.0,
+                    noise_enabled=False, spacing_ratio=2.0, seed=5)
+PIN_CONFIGS = {
+    "eigen": dict(_PIN_SPECTRA, kind="eigen", trials=2),
+    "saturation": dict(_PIN_SPECTRA, kind="saturation", num_aoas=8, m_physical=24,
+                       trials=2),
+    "support_plot": dict(_PIN_SPECTRA, kind="support_plot",
+                         modes=["onesided", "double", "iid"]),
+    "ber": dict(_PIN_BER, kind="ber", scenario="identical_aoas", aoa_counts=[8],
+                m_values=[12, 16]),
+    "ber_aoa": dict(_PIN_BER, kind="ber_aoa", scenario="identical_aoas",
+                    aoa_counts=[8], p_values=[4, 8], include_iid=True),
+    "ber_distinct": dict(_PIN_BER, kind="ber_distinct", scenario="distinct_aoas",
+                         aoa_counts=[8, 8], p4_values=[2, 8]),
+    "ber_short": dict(_PIN_BER, kind="ber_short", scenario="iid", block_length=16,
+                      n_values=[8, 16]),
+}
+PAYLOAD_PINS = json.loads((Path(__file__).parent / "payload_pins.json").read_text())
+
+
+def _pin_rel(path: tuple) -> float:
+    """Relative tolerance for one payload leaf, by where it sits."""
+    if "samples_per_trial" in path:
+        return 1e-9
+    if path[-1] in ("ci_lo", "ci_hi"):
+        return 1e-12
+    if path[-1] in ("ber", "bits", "sweep_value"):
+        return 0.0
+    return 1e-6  # support intervals and truncation ratios
+
+
+def _assert_payload_matches(got, want, path=()):
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            _assert_payload_matches(got[key], want[key], path + (key,))
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_payload_matches(g, w, path + (i,))
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=_pin_rel(path), abs=0.0), path
+    else:
+        assert got == want, path
+
+
+def _run_payload(raw: dict, tmp_path) -> dict:
+    cfg = cli.parse_config(dict(raw, label="pin"))
+    return json.loads(cli.run_preset(cfg, tmp_path).read_text())["payload"]
+
+
+@pytest.mark.parametrize("kind", sorted(PIN_CONFIGS))
+def test_payload_pinned_per_kind(kind, tmp_path):
+    assert set(PIN_CONFIGS) == set(cli.KINDS)
+    _assert_payload_matches(_run_payload(PIN_CONFIGS[kind], tmp_path),
+                            PAYLOAD_PINS[kind])
+
+
+def test_ber_short_honours_config_noise(tmp_path):
+    raw = dict(PIN_CONFIGS["ber_short"], noise_enabled=False)
+    got = _run_payload(raw, tmp_path)["ber"]
+    for n in raw["n_values"]:
+        params = SystemParams(num_antennas=16, users_per_cell=2, num_cells=2,
+                              block_length=n, signal_power=1.0,
+                              interference_power=1.0, noise_enabled=False,
+                              scenario="iid")
+        want = sim.run_ber_experiment(params, raw["ratios_db"], raw["bits_target"], 5)
+        assert got[f"N={n}"] == json.loads(json.dumps(cli._ber_payload(want)))
+    assert got != PAYLOAD_PINS["ber_short"]["ber"]

@@ -151,7 +151,15 @@ class TestSupportDistinct:
     def test_narrow_grid_warns(self):
         grid = rmt.SupportGrid(x_min=1e-6, x_max=3.0, points=2000)
         with pytest.warns(UserWarning, match="x-grid too narrow"):
-            rmt.support_distinct(K, L, M, N, P, P_I, grid=grid)
+            with pytest.raises(ConfigError, match="did not resolve the bulk"):
+                rmt.support_distinct(K, L, M, N, P, P_I, grid=grid)
+
+    def test_unresolved_low_power_bulk_is_refused(self):
+        # the default grid cannot resolve a bulk this far below 1e-2; the
+        # scan used to return (-0.00100, 0.00030)
+        with pytest.warns(UserWarning, match="x-grid too narrow"):
+            with pytest.raises(ConfigError, match="did not resolve the bulk"):
+                rmt.support_distinct(8, 3, 319, 1150, 166, 4.7e-4)
 
 
 class TestSupportIid:
@@ -324,10 +332,11 @@ SUPPORT_PINS = {
     "distinct_two_cells": (
         lambda: rmt.support_distinct(K, 2, M, N, P, P_I),
         [(0.01599859977692816, 0.03672214064619902)]),
+    # the scan's (-0.333, 0.334) has a negative lower endpoint: refused
     "distinct_narrow_grid": (
         lambda: rmt.support_distinct(K, L, M, N, P, P_I, grid=rmt.SupportGrid(
             x_min=1e-6, x_max=3.0, points=2000)),
-        [(-0.3329859043390944, 0.33374097564374444)]),
+        None),
 }
 
 

@@ -111,6 +111,24 @@ class TestEigenExperiment:
         assert len(res.samples_per_trial[0]) == 50
 
 
+class TestSupportOverlays:
+    def test_noise_enabled_attaches_none(self):
+        # the laws are noiseless; a noise bulk would sit outside them
+        p = _params(noise_enabled=True, num_antennas=50, block_length=80,
+                    aoa_counts=(25,))
+        with pytest.warns(UserWarning, match="could not attach.*noise enabled"):
+            res = sim.run_eigen_experiment(p, 1, 6)
+        assert res.supports == {} and res.truncation is None
+
+    def test_unequal_interferer_counts_say_so(self):
+        # fig6 layout: the distinct interference law needs one shared count
+        p = _params(scenario="distinct_aoas", aoa_counts=(100, 100, 100, 20))
+        with pytest.warns(UserWarning,
+                          match="could not attach distinct_interference.*unequal"):
+            res = sim.run_eigen_experiment(p, 1, 6)
+        assert set(res.supports) == {"one_sided_signal"}
+
+
 class TestSaturationExperiment:
     def test_requires_enough_antennas(self):
         with pytest.raises(ConfigError):
