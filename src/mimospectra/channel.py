@@ -107,10 +107,6 @@ class ChannelRealization:
     fading: list[np.ndarray] = field(default_factory=list)
     composite: np.ndarray = None
 
-    def cell_channel(self, i: int) -> np.ndarray:
-        k = self.params.users_per_cell
-        return self.composite[:, i * k:(i + 1) * k]
-
 
 def steering_vector(angle: float, num_antennas: int, spacing_ratio: float) -> np.ndarray:
     """Unit-modulus array response; Euclidean norm sqrt(num_antennas).

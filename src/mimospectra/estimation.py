@@ -1,10 +1,11 @@
 """Blind subspace channel estimation and the pilot-based baseline.
 
-The subspace pipeline: SVD of the received block, projection onto the K
-dominant left singular vectors, zero-forcing on the shared pilot prefix to
-resolve the remaining K x K ambiguity, then matched-filter QPSK detection on
-the projected data.  The baseline estimates the full antenna-domain channel
-by least squares on the same pilots and matched-filters in antenna space.
+The subspace pipeline: the K dominant left singular vectors of the received
+block (solved on its smaller Gram matrix), projection onto them, zero-forcing
+on the shared pilot prefix to resolve the remaining K x K ambiguity, then
+matched-filter QPSK detection on the projected data.  The baseline
+estimates the full antenna-domain channel by least squares on the same
+pilots and matched-filters in antenna space.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import dft
+from scipy.linalg import dft, eigh
 
 from .errors import ConfigError
 
 QPSK_SCALE = 1.0 / np.sqrt(2.0)
+# The Gram matrix squares the condition number: the K-th vector it gives is
+# off by about eps * (sigma_1 / sigma_K)^2, 2e-10 at this ratio.  Below it
+# (rank-deficient or nearly so blocks) the subspace comes from the full SVD.
+GRAM_RTOL = 1e-3
 
 
 @dataclass
@@ -51,22 +56,37 @@ class PilotLayout:
 
     def data_block(self, rng: np.random.Generator) -> np.ndarray:
         bits = rng.integers(0, 2, size=(self.num_users, 2 * self.num_data))
-        return np.vstack([qpsk_map(row) for row in bits])
+        return qpsk_map(bits).reshape(self.num_users, self.num_data)
 
     def assemble(self, data: np.ndarray) -> np.ndarray:
         return np.concatenate([self.pilot_block(), data], axis=1)
 
 
 def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
-    """K dominant left singular vectors of the received block."""
+    """K dominant left singular vectors of the received block.
+
+    Solved on the smaller Gram side: the top K+1 eigenpairs of Y Y^H when
+    M <= N, else of Y^H Y with the vectors lifted as Y V Sigma^-1.  When
+    sigma_K <= GRAM_RTOL * sigma_1 the full SVD is used instead.
+    """
     m, n = y.shape
-    if num_users > min(m, n):
-        raise ConfigError(f"num_users={num_users} exceeds min(M, N)={min(m, n)}")
-    u, sv, _ = np.linalg.svd(y, full_matrices=False)
-    if num_users < len(sv) and sv[num_users - 1] - sv[num_users] < 1e-12 * max(sv[0], 1e-300):
+    k, r = num_users, min(m, n)
+    if k > r:
+        raise ConfigError(f"num_users={k} exceeds min(M, N)={r}")
+    left = m <= n
+    gram = y @ y.conj().T if left else y.conj().T @ y
+    w, v = eigh(gram, subset_by_index=[r - min(k + 1, r), r - 1])
+    sv = np.sqrt(np.maximum(w[::-1], 0.0))
+    if sv[k - 1] <= GRAM_RTOL * sv[0]:
+        u, sv, _ = np.linalg.svd(y, full_matrices=False)
+        basis = u[:, :k]
+    else:
+        v = v[:, ::-1][:, :k]
+        basis = v if left else (y @ v) / sv[:k]
+    if k < len(sv) and sv[k - 1] - sv[k] < 1e-12 * max(sv[0], 1e-300):
         warnings.warn("degenerate singular values at the subspace boundary; "
                       "signal subspace is ill-defined", stacklevel=2)
-    return u[:, :num_users]
+    return basis
 
 
 def subspace_zf_resolve(projected_pilot: np.ndarray, pilot_block: np.ndarray) -> np.ndarray:

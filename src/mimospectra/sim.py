@@ -7,17 +7,25 @@ normalization; attached supports are therefore scaled by N before overlay.
 
 Trials are independent work units seeded as (seed, trial_index) streams, so
 any execution schedule produces identical results; the optional thread pool
-size comes from the MIMOSPECTRA_WORKERS environment variable.
+size comes from the MIMOSPECTRA_WORKERS environment variable.  Trials run
+with one BLAS thread: their matrices are small enough that BLAS threading
+costs more than it saves, and a fixed thread count makes the floating-point
+results independent of OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import rmt
 from .channel import SystemParams, crandn, realize_channel
@@ -53,12 +61,51 @@ def _workers() -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS builds bundled with
+    numpy (64-bit interface, ``64_`` suffix) and scipy; empty when neither is
+    found, e.g. for a numpy linked against another BLAS."""
+    controls = []
+    for module, libdir in ((np, "numpy.libs"), (scipy, "scipy.libs")):
+        site = Path(module.__file__).resolve().parents[1]
+        for path in sorted((site / libdir).glob("libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with one BLAS thread, then restore the previous counts."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), n in zip(controls, saved):
+            set_(n)
+
+
 def _map_trials(fn, n_trials: int):
     workers = _workers()
-    if workers == 1:
-        return [fn(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
+    with _one_blas_thread():
+        if workers == 1:
+            return [fn(t) for t in range(n_trials)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(n_trials)))
 
 
 def worst_case_power_diagonal(num_users: int, num_cells: int,

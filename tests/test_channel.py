@@ -208,7 +208,7 @@ class TestReceivedBlock:
         y = crandn(g, 100, 400)
         for i in range(4):
             power = p.signal_power if i == 0 else p.interference_power
-            y += np.sqrt(power) * (ch.cell_channel(i) @ x[5 * i:5 * (i + 1)])
+            y += np.sqrt(power) * (ch.composite[:, 5 * i:5 * (i + 1)] @ x[5 * i:5 * (i + 1)])
         np.testing.assert_allclose(blk.received, y, rtol=0, atol=1e-12)
 
     def test_determinism(self):

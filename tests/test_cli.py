@@ -1,6 +1,9 @@
 """Config parsing, presets, envelopes, plot-data CSVs, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -293,3 +296,43 @@ def test_ber_short_honours_config_noise(tmp_path):
         want = sim.run_ber_experiment(params, raw["ratios_db"], raw["bits_target"], 5)
         assert got[f"N={n}"] == json.loads(json.dumps(cli._ber_payload(want)))
     assert got != PAYLOAD_PINS["ber_short"]["ber"]
+
+
+# a small eigen run (its Monte Carlo samples differ in the last digits with
+# the BLAS thread count unless the trials fix it) and a small BER run
+_THREAD_CONFIGS = {
+    "eigen": dict(kind="eigen", scenario="identical_aoas", num_antennas=300,
+                  users_per_cell=5, num_cells=4, block_length=500, aoa_counts=[100],
+                  signal_power_db=-10.0, interference_power_db=-16.0,
+                  noise_enabled=False, spacing_ratio=2.0, trials=4),
+    "ber": dict(kind="ber", scenario="identical_aoas", num_antennas=100,
+                users_per_cell=5, num_cells=4, block_length=200, aoa_counts=[50],
+                noise_enabled=True, spacing_ratio=0.5, snr_db=-5.0,
+                ratios_db=[-6.0, 0.0], bits_target=4000, m_values=[100]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_THREAD_CONFIGS))
+def test_payload_bytes_invariant_to_thread_settings(kind, tmp_path):
+    """The README promise: identical config and seed give identical bytes,
+    whatever OPENBLAS_NUM_THREADS and MIMOSPECTRA_WORKERS say."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(_THREAD_CONFIGS[kind], label="t")))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MIMOSPECTRA_WORKERS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    outputs = {}
+    for name, extra in (("blas1", {"OPENBLAS_NUM_THREADS": "1"}),
+                        ("blas2", {"OPENBLAS_NUM_THREADS": "2"}),
+                        ("workers2", {"MIMOSPECTRA_WORKERS": "2"})):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "mimospectra.cli", "run", "--config", str(config),
+             "--seed", "1234", "--out", str(out)],
+            env={**base, **extra}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads((out / "t_result.json").read_text())["payload"]
+        outputs[name] = [json.dumps(payload, sort_keys=True).encode()] + [
+            path.read_bytes() for path in sorted(out.glob("*.csv"))]
+    assert outputs["blas1"] == outputs["blas2"] == outputs["workers2"]

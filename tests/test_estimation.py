@@ -77,6 +77,61 @@ class TestSignalSubspace:
             signal_subspace(crandn(rng, 8, 16), 9)
 
 
+def _svd_projector(y, k):
+    u = np.linalg.svd(y, full_matrices=False)[0][:, :k]
+    return u @ u.conj().T
+
+
+def _planted(rng, m, n, k, tail):
+    """Rank-k signal whose weakest direction is ``tail`` times the strongest,
+    plus noise 1e3 times weaker than that direction."""
+    scale = np.logspace(0, np.log10(tail), k)
+    return (crandn(rng, m, k) @ np.diag(scale) @ crandn(rng, k, n)
+            + 1e-3 * tail * crandn(rng, m, n))
+
+
+class TestGramSideSubspace:
+    """signal_subspace solves on the smaller Gram side (Y Y^H when M <= N,
+    else Y^H Y lifted by Y V Sigma^-1); the SVD is the reference."""
+
+    @pytest.mark.parametrize("m,n,k", [(32, 64, 6), (64, 32, 6), (200, 400, 5),
+                                       (200, 30, 15), (200, 120, 15), (16, 16, 16)])
+    def test_matches_svd_subspace(self, rng, m, n, k):
+        for y in (crandn(rng, m, n), _planted(rng, m, n, k, 0.1)):
+            u = signal_subspace(y, k)
+            assert u.shape == (m, k)
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(k), rtol=0, atol=1e-12)
+            assert np.linalg.norm(u @ u.conj().T - _svd_projector(y, k), 2) < 1e-12
+
+    @pytest.mark.parametrize("m,n", [(10, 6), (6, 10), (40, 40)])
+    def test_rank_deficient_is_orthonormal_and_warns(self, rng, m, n):
+        # rank 2 < K = 3: sigma_K and sigma_{K+1} are both round-off
+        y = crandn(rng, m, 2) @ crandn(rng, 2, n)
+        with pytest.warns(UserWarning, match="degenerate"):
+            u = signal_subspace(y, 3)
+        assert np.isfinite(u).all()
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(3), rtol=0, atol=1e-12)
+        # the three columns contain the whole (rank-2) column space
+        assert np.linalg.norm(y - u @ (u.conj().T @ y)) < 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("m,n", [(60, 30), (30, 60)])
+    @pytest.mark.parametrize("tail", [2e-3, 1e-5, 1e-8])
+    def test_ill_conditioned_signal(self, rng, m, n, tail):
+        # sigma_K / sigma_1 ~ tail: just above GRAM_RTOL the Gram side still
+        # holds to ~eps * tail^-2, below it the SVD is used
+        y = _planted(rng, m, n, 5, tail)
+        u = signal_subspace(y, 5)
+        assert np.isfinite(u).all()
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(5), rtol=0, atol=1e-9)
+        assert np.linalg.norm(u @ u.conj().T - _svd_projector(y, 5), 2) < 1e-9
+
+    def test_zero_block(self):
+        with pytest.warns(UserWarning, match="degenerate"):
+            u = signal_subspace(np.zeros((8, 5), dtype=complex), 2)
+        assert np.isfinite(u).all()
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+
+
 class TestZfResolve:
     def test_noiseless_equals_projected_channel(self, rng):
         y, h, layout, _ = _single_cell_block(rng)
@@ -114,10 +169,11 @@ class TestZfResolve:
                 y = np.zeros((m, 400), dtype=complex)
                 for i in range(4):
                     pw = params.signal_power if i == 0 else params.interference_power
-                    y += np.sqrt(pw) * (ch.cell_channel(i) @ layout.assemble(data[i]))
+                    y += np.sqrt(pw) * (ch.composite[:, 5 * i:5 * (i + 1)]
+                                        @ layout.assemble(data[i]))
                 y += crandn(g, m, 400)
                 model = estimate_subspace_channel(y, layout.pilot_block(), 5)
-                ref = model.basis.conj().T @ ch.cell_channel(0) * np.sqrt(params.signal_power)
+                ref = model.basis.conj().T @ ch.composite[:, :5] * np.sqrt(params.signal_power)
                 tot += float(np.linalg.norm(model.estimate - ref) / np.linalg.norm(ref))
             errs.append(tot / 30)
         assert errs[0] > errs[1] > errs[2]
@@ -163,12 +219,12 @@ class TestPilotBased:
         layout = PilotLayout(num_users=4, block_length=64)
         data = [layout.data_block(rng) for _ in range(3)]
         y = np.zeros((32, 64), dtype=complex)
+        cell = [ch.composite[:, 4 * i:4 * (i + 1)] for i in range(3)]
         for i in range(3):
             pw = params.signal_power if i == 0 else params.interference_power
-            y += np.sqrt(pw) * (ch.cell_channel(i) @ layout.assemble(data[i]))
+            y += np.sqrt(pw) * (cell[i] @ layout.assemble(data[i]))
         h_hat = pilot_based_estimate(y, layout.pilot_block())
-        expected = (np.sqrt(0.2) * ch.cell_channel(0)
-                    + np.sqrt(0.05) * (ch.cell_channel(1) + ch.cell_channel(2)))
+        expected = np.sqrt(0.2) * cell[0] + np.sqrt(0.05) * (cell[1] + cell[2])
         assert np.abs(h_hat - expected).max() < 1e-10
 
     def test_single_cell_noiseless_detection(self, rng):
@@ -197,6 +253,13 @@ class TestQpsk:
         # half the minimum distance is 1/sqrt(2); stay safely inside
         noisy = sym + 0.3 * np.exp(2j * np.pi * rng.uniform(size=sym.size))
         np.testing.assert_array_equal(qpsk_quantize(noisy), sym)
+
+    def test_data_block_matches_row_by_row_map(self):
+        # reference: one qpsk_map call per user row of the same bits
+        layout = PilotLayout(num_users=5, block_length=45)
+        got = layout.data_block(np.random.default_rng(3))
+        bits = np.random.default_rng(3).integers(0, 2, size=(5, 80))
+        np.testing.assert_array_equal(got, np.vstack([qpsk_map(row) for row in bits]))
 
     def test_odd_bit_count_rejected(self):
         with pytest.raises(ConfigError):

@@ -280,3 +280,43 @@ class TestWorkerScheduleInvariance:
         pooled = sim.run_eigen_experiment(p, 6, 21, attach_supports=False)
         for a, b in zip(serial.samples_per_trial, pooled.samples_per_trial):
             np.testing.assert_array_equal(a, b)
+
+
+class TestBlasThreads:
+    """Trials run with one BLAS thread; the caller's counts come back after."""
+
+    @pytest.fixture
+    def controls(self):
+        controls = sim._blas_thread_controls()
+        if not controls:
+            pytest.skip("no bundled OpenBLAS found")
+        before = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield controls
+        for (_, set_), n in zip(controls, before):
+            set_(n)
+
+    @staticmethod
+    def _counts(controls):
+        return [get() for get, _ in controls]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_thread_inside_restored_after(self, controls, monkeypatch, workers):
+        monkeypatch.setenv("MIMOSPECTRA_WORKERS", workers)
+        seen = sim._map_trials(lambda t: self._counts(controls), 3)
+        assert seen == [[1] * len(controls)] * 3
+        assert self._counts(controls) == [2] * len(controls)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_restored_after_a_trial_raises(self, controls, monkeypatch, workers):
+        monkeypatch.setenv("MIMOSPECTRA_WORKERS", workers)
+
+        def trial(t):
+            if t == 1:
+                raise RuntimeError("trial failed")
+            return t
+
+        with pytest.raises(RuntimeError, match="trial failed"):
+            sim._map_trials(trial, 3)
+        assert self._counts(controls) == [2] * len(controls)
