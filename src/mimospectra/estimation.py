@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import dft, eigh
@@ -37,7 +38,8 @@ class PilotLayout:
     """Shared pilot prefix plus per-cell data symbols.
 
     The pilot block has orthogonal rows with X_p X_p^H = K I and is reused by
-    every cell (full pilot reuse); data symbols are unit-energy QPSK.
+    every cell (full pilot reuse); data symbols are unit-energy QPSK.  It is
+    built once per layout and returned read-only.
     """
 
     num_users: int
@@ -51,15 +53,21 @@ class PilotLayout:
     def num_data(self) -> int:
         return self.block_length - self.num_users
 
+    @cached_property
+    def _pilot(self) -> np.ndarray:
+        pilot = dft(self.num_users)
+        pilot.flags.writeable = False
+        return pilot
+
     def pilot_block(self) -> np.ndarray:
-        return dft(self.num_users)
+        return self._pilot
 
     def data_block(self, rng: np.random.Generator) -> np.ndarray:
         bits = rng.integers(0, 2, size=(self.num_users, 2 * self.num_data))
         return qpsk_map(bits).reshape(self.num_users, self.num_data)
 
     def assemble(self, data: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.pilot_block(), data], axis=1)
+        return np.concatenate([self._pilot, data], axis=1)
 
 
 def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
@@ -89,15 +97,25 @@ def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=8)
+def _pilot_factors(dtype: str, shape: tuple, data: bytes):
+    """X_p^H and (X_p X_p^H)^{-1} of one pilot block, checked once."""
+    pilot = np.frombuffer(data, dtype=dtype).reshape(shape)
+    gram = pilot @ pilot.conj().T
+    if np.linalg.cond(gram) > 1e12:
+        raise ConfigError("pilot block is singular or near-singular")
+    return pilot.conj().T, np.linalg.inv(gram)
+
+
 def subspace_zf_resolve(projected_pilot: np.ndarray, pilot_block: np.ndarray) -> np.ndarray:
     """Least-squares ambiguity resolution on the projected pilot block.
 
-    Ghat = Yp_tilde X_p^H (X_p X_p^H)^{-1}; raises on a singular pilot block.
+    Ghat = Yp_tilde X_p^H (X_p X_p^H)^{-1}, multiplied in that order; raises
+    on a singular pilot block.
     """
-    gram = pilot_block @ pilot_block.conj().T
-    if np.linalg.cond(gram) > 1e12:
-        raise ConfigError("pilot block is singular or near-singular")
-    return projected_pilot @ pilot_block.conj().T @ np.linalg.inv(gram)
+    xh, gram_inv = _pilot_factors(pilot_block.dtype.str, pilot_block.shape,
+                                  pilot_block.tobytes())
+    return projected_pilot @ xh @ gram_inv
 
 
 def qpsk_quantize(z: np.ndarray) -> np.ndarray:
@@ -123,12 +141,9 @@ def estimate_subspace_channel(y: np.ndarray, pilot_block: np.ndarray,
 
 
 def pilot_based_estimate(y: np.ndarray, pilot_block: np.ndarray) -> np.ndarray:
-    """Classical LS channel estimate from the pilot prefix (M x K)."""
-    k = pilot_block.shape[1]
-    gram = pilot_block @ pilot_block.conj().T
-    if np.linalg.cond(gram) > 1e12:
-        raise ConfigError("pilot block is singular or near-singular")
-    return y[:, :k] @ pilot_block.conj().T @ np.linalg.inv(gram)
+    """Classical LS channel estimate from the pilot prefix (M x K): the same
+    least-squares fit on the unprojected block."""
+    return subspace_zf_resolve(y[:, :pilot_block.shape[1]], pilot_block)
 
 
 def pilot_based_detect(y: np.ndarray, pilot_block: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Asymptotic spectral laws in the Stieltjes domain.
 
 Convention: G(s) = integral f(x)/(x - s) dx with Im s != 0, so Im s > 0
-implies Im G > 0 and s*G(s) -> -1 as |s| -> infinity.  Every implicit law is
-evaluated by polynomial root finding plus continuation: the physical branch
+implies Im G > 0 and s*G(s) -> -1 as |s| -> infinity.  Each implicit law is
+written once, as a table T[i, j] of the coefficients of s^i G^j in its
+defining relation F(s, G) = 0; the evaluator, the residual and (in
+``support``) the inverse-function polynomial are derived from that table.
+Evaluation is polynomial root finding plus continuation: the physical branch
 is anchored at G = -1/s for Im s = 1e6 and tracked by nearest-root matching
 along a vertical path down to the requested point.
 
@@ -16,6 +19,8 @@ Laws implemented:
 * ``stieltjes_double_sided``  -- joint signal+interference law of the scaled
                                  two-power product, via the radical-free
                                  degree-8 polynomial.
+* ``distinct_table``          -- interference law for equal per-cell AoA
+                                 counts (table only; used by the support scan).
 * ``mixture_stieltjes``       -- weighted sum of Wishart-type block laws.
 * ``two_mass_stieltjes`` / ``s_transform_two_mass`` -- the two-point power
   mass distribution and its multiplicative transform.
@@ -26,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -47,8 +51,7 @@ class OneSidedParams:
 
     ``scale`` is the power multiplier, ``inner_dim`` the rank of the product
     (users contributing), and m, n, p the outer/sample/path dimensions.
-    Derived ratios: alpha = inner_dim/m, beta = p/m, gamma = inner_dim/n,
-    alpha_prime = inner_dim/p.
+    Derived ratios: alpha = inner_dim/m, beta = p/m, gamma = inner_dim/n.
     """
 
     scale: float
@@ -75,10 +78,6 @@ class OneSidedParams:
     @property
     def gamma(self) -> float:
         return self.inner_dim / self.n
-
-    @property
-    def alpha_prime(self) -> float:
-        return self.inner_dim / self.p
 
     @classmethod
     def signal(cls, sys_params) -> "OneSidedParams":
@@ -128,19 +127,6 @@ class DoubleSidedParams:
     @property
     def gamma(self) -> float:
         return self.num_users * self.num_cells / self.block_length
-
-    @cached_property
-    def upsilon_coeffs(self) -> tuple[float, float, float]:
-        """(c1, c2, c3): the weights of upsilon, upsilon^2 and upsilon^3 in
-        T(G); c1 is also ``a_lin``, the x-slope in the support scan's
-        inverse-function polynomial and its poles."""
-        k, l = self.num_users, self.num_cells
-        m, n, pa = self.num_antennas, self.block_length, self.num_aoas
-        ps, pi = self.p_signal, self.p_interference
-        c3 = 2.0 * k ** 3 * l ** 4 * pi * ps / (m * n * pa)
-        c2 = -2.0 * k ** 2 * l ** 3 * pi * ps * (1 / (m * n) + 1 / (m * pa) + 1 / (n * pa))
-        c1 = 2.0 * k * l ** 2 * pi * ps * (1 / m + 1 / n + 1 / pa)
-        return c1, c2, c3
 
     @classmethod
     def from_system(cls, sys_params) -> "DoubleSidedParams":
@@ -307,52 +293,146 @@ def _normalized_residual(coeffs: np.ndarray, g: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one-sided laws
+# coefficient tables: T[i, j] is the coefficient of s^i G^j in F(s, G) = 0
 # ---------------------------------------------------------------------------
 
-def _onesided_coeffs(s: complex, p: OneSidedParams) -> np.ndarray:
-    """Ascending-in-G coefficients of the one-power quartic for the n x n law."""
-    a, a1, a2, a3 = p.scale, p.alpha, p.beta, p.gamma
-    f1 = np.array([1.0 - a3, s])
-    f2 = np.array([a1 - a3, a1 * s])
-    f3 = np.array([a1 - a2 * a3, a1 * s])
-    prod = npp.polymul(npp.polymul(f1, f2), f3)
-    poly = np.concatenate([[0.0], a * prod])  # multiply by G
-    poly[0] += a2 * a3 ** 2
-    poly[1] += a2 * a3 ** 2 * s
-    return poly
+def _table(*parts) -> np.ndarray:
+    """Table of sum_g G^g parts[g](v), each part ascending in v = sG."""
+    deg = max(len(p) for p in parts)
+    out = np.zeros((deg, deg + len(parts) - 1), dtype=np.result_type(*parts))
+    for g, p in enumerate(parts):
+        k = np.arange(len(p))
+        out[k, k + g] += p
+    return out
 
+
+def _of_upsilon(*coeffs) -> np.ndarray:
+    """Ascending coefficients in v = sG of sum_k coeffs[k] (1 + v)^k."""
+    out = np.zeros(len(coeffs))
+    for k, c in enumerate(coeffs):
+        out[:k + 1] += c * npp.polypow([1.0, 1.0], k)
+    return out
+
+
+def _forward(table: np.ndarray, s: complex) -> np.ndarray:
+    """Ascending-in-G coefficients of F(s, G) at one s."""
+    return table.T @ s ** np.arange(len(table))
+
+
+def onesided_table(p: OneSidedParams) -> np.ndarray:
+    """n x n one-power law (zero atom included), with v = sG:
+    a G (1 - gamma + v)(alpha - gamma + alpha v)(alpha - beta gamma + alpha v)
+    + beta gamma^2 (1 + v)."""
+    a, a1, a2, a3 = p.scale, p.alpha, p.beta, p.gamma
+    prod = npp.polymul(npp.polymul([1.0 - a3, 1.0], [a1 - a3, a1]), [a1 - a2 * a3, a1])
+    return _table(a2 * a3 ** 2 * np.ones(2), a * prod)
+
+
+def iid_table(p_s: float, alpha: float, gamma: float) -> np.ndarray:
+    """Rich-scattering limit of the one-power law, with v = sG:
+    gamma (1 + v) - p_s G (1 - gamma + v)(alpha - gamma + alpha v)."""
+    return _table(gamma * np.ones(2),
+                  -p_s * npp.polymul([1.0 - gamma, 1.0], [alpha - gamma, alpha]))
+
+
+def double_sided_parts(p: DoubleSidedParams, truncated: bool = False
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of T and Q in the double-sided relation T + R = 0, R^2 = Q.
+
+    With u = 1 + sG, T = G (c1 u + c2 u^2 + c3 u^3 - 2 L p_I p_S)
+    + L (p_I + p_S) u + p_I - p_S - L p_I and Q = q2 u^2 + q1 u + q0 is the
+    two-mass discriminant.  ``truncated`` keeps only c1, as the support scan
+    does.
+    """
+    k, l = p.num_users, p.num_cells
+    m, n, pa = p.num_antennas, p.block_length, p.num_aoas
+    ps, pi = p.p_signal, p.p_interference
+    cs = [2.0 * k * l ** 2 * pi * ps * (1 / m + 1 / n + 1 / pa)]
+    if not truncated:
+        cs += [-2.0 * k ** 2 * l ** 3 * pi * ps * (1 / (m * n) + 1 / (m * pa) + 1 / (n * pa)),
+               2.0 * k ** 3 * l ** 4 * pi * ps / (m * n * pa)]
+    t = _table(_of_upsilon(pi - ps - l * pi, l * (pi + ps)),
+               _of_upsilon(-2.0 * l * pi * ps, *cs))
+    q = _table(_of_upsilon((ps + (l - 1) * pi) ** 2,
+                           2.0 * l * (pi ** 2 * (1 - l) - ps ** 2 + l * pi * ps),
+                           l ** 2 * (ps - pi) ** 2))
+    return t, q
+
+
+def double_sided_table(p: DoubleSidedParams, truncated: bool = False) -> np.ndarray:
+    """The radical-free double-sided polynomial F = T^2 - Q (degree 8 in G)."""
+    t, q = double_sided_parts(p, truncated)
+    f = np.zeros((2 * len(t) - 1, 2 * t.shape[1] - 1))
+    for (i, j), c in np.ndenumerate(t):
+        f[i:i + len(t), j:j + t.shape[1]] += c * t
+    f[:len(q), :q.shape[1]] -= q
+    return f
+
+
+def distinct_table(num_users: int, num_cells: int, num_antennas: int,
+                   block_length: int, num_aoas: int, p_interference: float
+                   ) -> np.ndarray:
+    """Interference law with equal per-cell AoA counts (n x n, zero atom
+    included), divided by m^2 n^3; with v = sG and c = L - 1 interfering
+    cells:  -n p_I G (1 + v)(n - K c + n v)(n - P c + n v)
+    + m (K P p_I c^2 G - n c (P + p_I G (K + P))(1 + v) + p_I G n^2 (1 + v)^2).
+
+    This is the block-diagonal-fading analogue of the one-power law: at
+    L = 2 it is -1/K^2 times ``onesided_table`` with K users.
+    """
+    k, c, m, n = num_users, num_cells - 1, num_antennas, block_length
+    pa, pi = num_aoas, p_interference
+    one = np.ones(2)
+    first = -n * pi * npp.polymul(npp.polymul(one, [n - k * c, n]), [n - pa * c, n])
+    second = npp.polyadd(npp.polyadd([k * pa * pi * c ** 2], -n * c * pi * (k + pa) * one),
+                         pi * n * n * npp.polymul(one, one))
+    return _table(-m * n * c * pa * one, npp.polyadd(first, m * second)) / (m * m * n ** 3)
+
+
+# ---------------------------------------------------------------------------
+# evaluators and residuals derived from the tables
+# ---------------------------------------------------------------------------
 
 def stieltjes_onesided(s, params: OneSidedParams, g0=None):
     """Law of the n x n single-power product matrix (zero atom included)."""
-    return _eval_implicit(lambda sk: _onesided_coeffs(sk, params), s, g0=g0)
+    table = onesided_table(params)
+    return _eval_implicit(lambda sk: _forward(table, sk), s, g0=g0)
 
 
 def onesided_residual(s: complex, g: complex, params: OneSidedParams) -> float:
-    return _normalized_residual(_onesided_coeffs(complex(s), params), complex(g))
-
-
-def _iid_coeffs(s: complex, p_s: float, alpha: float, gamma: float) -> np.ndarray:
-    """gamma(1+sG) - p_s G (1 + sG - gamma)(alpha + alpha sG - gamma) = 0."""
-    f1 = np.array([1.0 - gamma, s])
-    f2 = np.array([alpha - gamma, alpha * s])
-    prod = npp.polymul(f1, f2)
-    poly = np.concatenate([[0.0], -p_s * prod])
-    poly[0] += gamma
-    poly[1] += gamma * s
-    return poly
+    return _normalized_residual(_forward(onesided_table(params), complex(s)), complex(g))
 
 
 def stieltjes_iid_limit(s, p_s: float, alpha: float, gamma: float, g0=None):
     """Rich-scattering limit of the one-sided law (cubic in G)."""
     if p_s <= 0 or alpha <= 0 or gamma <= 0:
         raise ConfigError("p_s, alpha, gamma must be positive")
-    return _eval_implicit(lambda sk: _iid_coeffs(sk, p_s, alpha, gamma), s, g0=g0)
+    table = iid_table(p_s, alpha, gamma)
+    return _eval_implicit(lambda sk: _forward(table, sk), s, g0=g0)
 
 
 def iid_limit_residual(s: complex, g: complex, p_s: float, alpha: float,
                        gamma: float) -> float:
-    return _normalized_residual(_iid_coeffs(complex(s), p_s, alpha, gamma), complex(g))
+    return _normalized_residual(_forward(iid_table(p_s, alpha, gamma), complex(s)),
+                                complex(g))
+
+
+def stieltjes_double_sided(s, params: DoubleSidedParams, g0=None):
+    """Joint signal-plus-interference spectrum of the two-power product law;
+    the K*L x K*L matrix has no zero atom.  The physical root of T^2 - Q is
+    selected by continuation."""
+    table = double_sided_table(params)
+    return _eval_implicit(lambda sk: _forward(table, sk), s, g0=g0)
+
+
+def double_sided_residual(s: complex, g: complex, params: DoubleSidedParams) -> float:
+    """Normalized residual of the unsquared defining relation T(G) = -R with
+    the radical branch chosen to minimize it."""
+    s, g = complex(s), complex(g)
+    t, q = (npp.polyval2d(s, g, tab) for tab in double_sided_parts(params))
+    r = np.sqrt(complex(q))
+    scale = abs(t) + abs(r) + 1e-300
+    return min(abs(t + r), abs(t - r)) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -390,58 +470,6 @@ def s_transform_two_mass(z, p_s: float, p_i: float, num_cells: int):
     out = (b - disc) / denom
     out[small] = l / (p_s + (l - 1) * p_i)
     return complex(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# double-sided law
-# ---------------------------------------------------------------------------
-
-def _double_sided_coeffs(s: complex, p: DoubleSidedParams) -> np.ndarray:
-    """Ascending-in-G coefficients of the radical-free double-sided polynomial.
-
-    The defining relation is T(G) + R(G) = 0 where R^2 = Q(1 + sG) is the
-    two-mass discriminant; squaring gives the degree-8 polynomial T^2 - Q
-    whose physical root is selected by continuation.
-    """
-    l = p.num_cells
-    ps, pi = p.p_signal, p.p_interference
-    ups = np.array([1.0, s])
-    ups2 = npp.polymul(ups, ups)
-    ups3 = npp.polymul(ups2, ups)
-    gpoly = np.array([0.0, 1.0])
-    c1, c2, c3 = p.upsilon_coeffs
-    t = npp.polymul(gpoly, npp.polyadd(npp.polyadd(c3 * ups3, c2 * ups2), c1 * ups))
-    t = npp.polyadd(t, l * (pi + ps) * ups)
-    t = npp.polyadd(t, np.array([pi - ps - l * pi]))
-    t = npp.polyadd(t, -2.0 * l * pi * ps * gpoly)
-    q2 = l ** 2 * (ps - pi) ** 2
-    q1 = 2.0 * l * (pi ** 2 * (1 - l) - ps ** 2 + l * pi * ps)
-    q0 = (ps + (l - 1) * pi) ** 2
-    q = npp.polyadd(npp.polyadd(q2 * ups2, q1 * ups), np.array([q0]))
-    return npp.polysub(npp.polymul(t, t), q)
-
-
-def stieltjes_double_sided(s, params: DoubleSidedParams, g0=None):
-    """Joint signal-plus-interference spectrum of the two-power product law;
-    the K*L x K*L matrix has no zero atom."""
-    return _eval_implicit(lambda sk: _double_sided_coeffs(sk, params), s, g0=g0)
-
-
-def double_sided_residual(s: complex, g: complex, params: DoubleSidedParams) -> float:
-    """Normalized residual of the unsquared defining relation T(G) = -R with
-    the radical branch chosen to minimize it."""
-    s, g = complex(s), complex(g)
-    l = params.num_cells
-    ps, pi = params.p_signal, params.p_interference
-    u = 1.0 + s * g
-    c1, c2, c3 = params.upsilon_coeffs
-    t = g * (c3 * u ** 3 + c2 * u ** 2 + c1 * u) + l * (pi + ps) * u \
-        + (pi - ps - l * pi) - 2.0 * l * pi * ps * g
-    q = pi ** 2 * (1 + l * (u - 1)) ** 2 + ps ** 2 * (l * u - 1) ** 2 \
-        + 2.0 * pi * ps * (l - l ** 2 * (u - 1) * u - 1)
-    r = np.sqrt(complex(q))
-    scale = abs(t) + abs(r) + 1e-300
-    return min(abs(t + r), abs(t - r)) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Each law's Stieltjes transform G(s) is increasing on real intervals outside
 the spectrum support, so its inverse s(x) is increasing exactly on the images
 of those intervals (Silverstein & Choi, J. Multivariate Anal. 1995).  The
-scan solves the law's inverse-function polynomial in s on a signed log grid
-of real x, split at the branch poles (where the leading s-coefficient
-vanishes), with one stacked companion-matrix eigen solve per segment.  Real
+inverse function is the law's own relation F(s, G) = 0 read in s: its
+inverse-function table is the coefficient table of ``laws`` at G = x, or for
+the one-sided law at G = gamma x - (1 - gamma)/s, which removes the zero
+atom.  The scan solves that polynomial in s on a signed log grid of real x,
+split at the branch poles (the real roots in x of the leading s-row), with
+one stacked companion-matrix eigen solve per segment.  Real
 roots of a real polynomial can only meet at a double root, so while the
 real-root count is constant the k-th sorted root is one branch; where the
 count changes, roots are matched to the previous branches by nearest
@@ -16,13 +19,15 @@ complement of the union of run images on [0, inf).
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
-from .laws import DoubleSidedParams, OneSidedParams
+from .laws import (DoubleSidedParams, OneSidedParams, distinct_table,
+                   double_sided_table, iid_table, onesided_table)
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,6 @@ class SpectralSupport:
     """Ordered disjoint intervals approximating the positive bulk support."""
 
     intervals: list[tuple[float, float]]
-    grid: SupportGrid = field(default_factory=SupportGrid)
 
     def __post_init__(self):
         for lo, hi in self.intervals:
@@ -59,8 +63,7 @@ class SpectralSupport:
                 raise ConfigError("intervals must be disjoint and sorted")
 
     def scaled(self, factor: float) -> "SpectralSupport":
-        return SpectralSupport([(lo * factor, hi * factor) for lo, hi in self.intervals],
-                               grid=self.grid)
+        return SpectralSupport([(lo * factor, hi * factor) for lo, hi in self.intervals])
 
     def contains(self, x, slack: float = 0.0) -> np.ndarray:
         """Membership mask with endpoint-relative dilation ``slack``."""
@@ -224,20 +227,22 @@ def _merge_gaps(gaps: list[tuple[float, float]], tol: float) -> list[list[float]
     return merged
 
 
-def scan_support(coeff_fn, grid: SupportGrid, pole_xs=(),
-                 drop_near_zero: bool = True, label: str = "law") -> SpectralSupport:
+def scan_support(table: np.ndarray, grid: SupportGrid,
+                 label: str = "law") -> SpectralSupport:
     """Run the inverse-function scan and assemble support intervals.
 
-    ``coeff_fn(x)`` returns descending polynomial coefficients in s for an
-    array of real dummy x (one array or scalar per coefficient);
-    ``pole_xs`` lists real x where the leading coefficient vanishes.
+    ``table[a, b]`` is the coefficient of s^a x^b in the inverse-function
+    polynomial; the grid is split at the real roots of its leading s-row.
     """
+    powers = np.arange(table.shape[1])[:, None]
+    poles = np.roots(table[-1, ::-1])
+    poles = poles[np.abs(poles.imag) <= 1e-7 * np.maximum(1.0, np.abs(poles))].real
     xs_pos = grid.positive_side()
     gaps: list[tuple[float, float]] = []
     outer_cut_values: list[float] = []
     for side in (xs_pos, -xs_pos[::-1]):
-        for seg in _split_at(side, pole_xs):
-            for branch in _track_branches(coeff_fn, seg):
+        for seg in _split_at(side, poles):
+            for branch in _track_branches(lambda xs: (table @ xs ** powers)[::-1], seg):
                 for lo, hi, cut_xs, cut_values in _runs_of_branch(seg, branch):
                     gaps.append((lo, hi))
                     for cx, cv in zip(cut_xs, cut_values):
@@ -263,8 +268,7 @@ def scan_support(coeff_fn, grid: SupportGrid, pole_xs=(),
         if b0 - a1 > 1e-3 * scale:
             support.append((a1, b0))
     support = [(lo, hi) for lo, hi in support if hi > 0 and lo < s_cap]
-    if drop_near_zero:
-        support = [(lo, hi) for lo, hi in support if hi > 0.02 * scale]
+    support = [(lo, hi) for lo, hi in support if hi > 0.02 * scale]
     # the zero-atom asymptote legitimately reaches |x| = x_max at
     # |s| ~ mass/x_max << scale; only order-scale cut values are suspicious
     unresolved = [v for v in outer_cut_values if abs(v) > 0.1 * scale]
@@ -279,100 +283,70 @@ def scan_support(coeff_fn, grid: SupportGrid, pole_xs=(),
     if support[0][0] < 0:
         raise ConfigError(f"{label}: x-grid did not resolve the bulk (interval "
                           f"starts at {support[0][0]:.3g} < 0)")
-    return SpectralSupport(intervals=support, grid=grid)
+    return SpectralSupport(intervals=support)
 
 
 # ---------------------------------------------------------------------------
-# per-law inverse-function polynomials (descending coefficients in s)
+# per-law inverse-function tables and supports; support_* call the
+# *_inverse_coeffs names through these module globals (perfbench counts them)
 # ---------------------------------------------------------------------------
 
-def onesided_inverse_coeffs(x, p: OneSidedParams) -> list:
-    """Cubic in s for the rank-l one-power product law (no zero atom)."""
-    a, l = p.scale, p.inner_dim
-    m, n, pa = p.m, p.n, p.p
-    return [
-        a * l ** 3 * x ** 4,
-        -a * l ** 2 * x ** 3 * (-3 * l + m + n + pa),
-        x * (m * n * pa + a * l * x * (3 * l ** 2 + m * n + (m + n) * pa
-                                       - 2 * l * (m + n + pa))),
-        m * n * pa - a * x * (-l + m) * (l - n) * (l - pa),
-    ]
+def _atom_mapped(table: np.ndarray, gamma: float) -> np.ndarray:
+    """Inverse table of an n x n law whose nonzero part has mass gamma.
+
+    G = gamma x - (1 - gamma)/s maps the n x n transform to that of the law
+    without its zero atom; the relation is cleared of 1/s by s^deg, and the
+    low s-rows that then vanish (to rounding) are removed.
+    """
+    deg = table.shape[1] - 1
+    out = np.zeros((len(table) + deg, deg + 1))
+    bound = np.zeros_like(out)
+    for (i, j), c in np.ndenumerate(table):
+        for a in range(j + 1):
+            term = c * math.comb(j, a) * gamma ** a * (gamma - 1.0) ** (j - a)
+            out[i + deg - j + a, a] += term
+            bound[i + deg - j + a, a] += abs(term)
+    vanish = np.all(np.abs(out) <= 1e-12 * bound, axis=1)
+    return out[np.argmin(vanish):]
+
+
+def onesided_inverse_coeffs(p: OneSidedParams) -> np.ndarray:
+    return _atom_mapped(onesided_table(p), p.gamma)
 
 
 def support_onesided(params: OneSidedParams,
                      grid: SupportGrid = SupportGrid()) -> SpectralSupport:
-    """Support of the nonzero one-power bulk via the cubic inverse function."""
+    """Support of the nonzero one-power bulk (the law without its zero atom)."""
     if params.scale <= 0:
         raise ConfigError("scale must be positive")
-    return scan_support(lambda x: onesided_inverse_coeffs(x, params), grid,
-                        pole_xs=(0.0,), label="one-sided")
+    return scan_support(onesided_inverse_coeffs(params), grid, label="one-sided")
 
 
-def double_inverse_coeffs(x, p: DoubleSidedParams) -> list:
-    """Quadratic in s for the truncated double-sided inverse function.
-
-    The radical is removed by squaring; both quadratic roots are genuine
-    inverse branches (they match the two preimages of the exact two-mass
-    transform in the small-ratio limit), so no sign filtering applies.
-    """
-    l = p.num_cells
-    ps, pi = p.p_signal, p.p_interference
-    a_lin = p.upsilon_coeffs[0]
-    av = a_lin * x + l * (pi + ps)
-    cv = -l * pi + pi - ps - 2.0 * l * pi * ps * x
-    q2 = l ** 2 * (ps - pi) ** 2 - av * av
-    q1 = 2.0 * l * (pi ** 2 * (1 - l) - ps ** 2 + l * pi * ps) - 2.0 * av * cv
-    q0 = (ps + (l - 1) * pi) ** 2 - cv * cv
-    # upsilon = s*x + 1
-    return [q2 * x * x, 2.0 * q2 * x + q1 * x, q2 + q1 + q0]
-
-
-def _double_pole_xs(p: DoubleSidedParams) -> list[float]:
-    l = p.num_cells
-    ps, pi = p.p_signal, p.p_interference
-    a_lin, c0 = p.upsilon_coeffs[0], l * (pi + ps)
-    return [0.0] + [(target - c0) / a_lin for target in (l * (ps - pi), -l * (ps - pi))]
+def double_inverse_coeffs(p: DoubleSidedParams) -> np.ndarray:
+    return double_sided_table(p, truncated=True)
 
 
 def support_double_sided(params: DoubleSidedParams,
                          grid: SupportGrid = SupportGrid()
                          ) -> tuple[SpectralSupport, TruncationReport]:
-    """Support of the joint two-power law plus truncation diagnostics."""
+    """Support of the joint two-power law plus truncation diagnostics.
+
+    The scan uses the law truncated to its linear upsilon term; the radical
+    is removed by squaring, and both roots in s are genuine inverse branches
+    (they match the two preimages of the exact two-mass transform in the
+    small-ratio limit), so no sign filtering applies.
+    """
     al, et, ga = params.alpha, params.eta, params.gamma
     report = TruncationReport(
         ratio_triple=(al + et + ga) / (al * et * ga),
         ratio_pairwise=(al + et + ga) / (al * ga + al * et + et * ga),
     )
-    support = scan_support(lambda x: double_inverse_coeffs(x, params), grid,
-                           pole_xs=_double_pole_xs(params), label="double-sided")
+    support = scan_support(double_inverse_coeffs(params), grid, label="double-sided")
     return support, report
 
 
-def distinct_inverse_coeffs(x, num_users: int, num_cells: int,
-                            num_antennas: int, block_length: int,
-                            num_aoas: int, p_interference: float) -> list:
-    """Cubic in s for the interference law with equal per-cell AoA counts.
-
-    This is the block-diagonal-fading analogue of the one-power law; the
-    spectrum carries the zero atom of the full block_length-sized matrix.
-    """
-    k, l, m, n, pa = num_users, num_cells, num_antennas, block_length, num_aoas
-    pi = p_interference
-    e0 = n - k * (l - 1)
-    f0 = n + pa - l * pa
-    # first term: -n*pi*x*(1+sx)*(e0 + n*s*x)*(f0 + n*s*x), in powers of t = s*x
-    t3 = -n * pi * x * n * n
-    t2 = -n * pi * x * (e0 * n + n * f0 + n * n)
-    t1 = -n * pi * x * (e0 * f0 + e0 * n + n * f0)
-    t0 = -n * pi * x * e0 * f0
-    # second term: m*(k*pa*pi*x*(l-1)^2 - n*(l-1)*(pa + pi*x*(k+pa))*(1+sx)
-    #              + pi*x*n^2*(1+sx)^2)
-    lin = -n * (l - 1) * (pa + pi * x * (k + pa))
-    t2 += m * pi * x * n * n
-    t1 += m * (lin + 2.0 * pi * x * n * n)
-    t0 += m * (k * pa * pi * x * (l - 1) ** 2 + lin + pi * x * n * n)
-    # convert powers of t to powers of s (t = s*x)
-    return [t3 * x ** 3, t2 * x ** 2, t1 * x, t0]
+def distinct_inverse_coeffs(*args) -> np.ndarray:
+    return distinct_table(*args)
 
 
 def support_distinct(num_users: int, num_cells: int, num_antennas: int,
@@ -384,23 +358,18 @@ def support_distinct(num_users: int, num_cells: int, num_antennas: int,
     if num_cells < 2:
         raise ConfigError("distinct interference law needs at least 2 cells")
     return scan_support(
-        lambda x: distinct_inverse_coeffs(x, num_users, num_cells, num_antennas,
-                                          block_length, num_aoas, p_interference),
-        grid, pole_xs=(0.0,), label="distinct-AoA")
+        distinct_inverse_coeffs(num_users, num_cells, num_antennas, block_length,
+                                num_aoas, p_interference),
+        grid, label="distinct-AoA")
 
 
-def iid_inverse_coeffs(x, p_s: float, alpha: float, gamma: float) -> list:
-    """Quadratic in s for the rich-scattering one-power law (zero atom kept)."""
-    c2 = -p_s * alpha * x ** 3
-    c1 = (gamma - p_s * x * (2 * alpha - gamma - alpha * gamma)) * x
-    c0 = gamma - p_s * x * (1 - gamma) * (alpha - gamma)
-    return [c2, c1, c0]
+def iid_inverse_coeffs(p_s: float, alpha: float, gamma: float) -> np.ndarray:
+    return iid_table(p_s, alpha, gamma)
 
 
 def support_iid(p_s: float, alpha: float, gamma: float,
                 grid: SupportGrid = SupportGrid()) -> SpectralSupport:
-    """Bulk support of the rich-scattering one-power law."""
+    """Bulk support of the rich-scattering one-power law (zero atom kept)."""
     if p_s <= 0 or alpha <= 0 or gamma <= 0:
         raise ConfigError("p_s, alpha, gamma must be positive")
-    return scan_support(lambda x: iid_inverse_coeffs(x, p_s, alpha, gamma),
-                        grid, pole_xs=(0.0,), label="iid")
+    return scan_support(iid_inverse_coeffs(p_s, alpha, gamma), grid, label="iid")

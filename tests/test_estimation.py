@@ -179,6 +179,31 @@ class TestZfResolve:
         assert errs[0] > errs[1] > errs[2]
 
 
+class TestPilotFactors:
+    """The pilot block and its Gram inverse are built and checked once."""
+
+    def test_pilot_block_built_once_and_read_only(self):
+        layout = PilotLayout(num_users=4, block_length=8)
+        assert layout.pilot_block() is layout.pilot_block()
+        assert not layout.pilot_block().flags.writeable
+        np.testing.assert_array_equal(layout.assemble(np.zeros((4, 4)))[:, :4],
+                                      layout.pilot_block())
+
+    def test_least_squares_keeps_product_order(self, rng):
+        xp = PilotLayout(num_users=5, block_length=9).pilot_block()
+        y = crandn(rng, 7, 9)
+        want = y[:, :5] @ xp.conj().T @ np.linalg.inv(xp @ xp.conj().T)
+        for _ in range(2):  # the second call reads the cached factors
+            np.testing.assert_array_equal(subspace_zf_resolve(y[:, :5], xp), want)
+            np.testing.assert_array_equal(pilot_based_estimate(y, xp), want)
+
+    def test_singular_pilot_rejected_on_every_call(self):
+        xp = np.ones((3, 3), dtype=complex)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                pilot_based_estimate(np.eye(3, dtype=complex), xp)
+
+
 class TestMfDetect:
     def test_noiseless_single_user_exact(self, rng):
         y, h, layout, data = _single_cell_block(rng, k=1)
