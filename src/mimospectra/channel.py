@@ -6,12 +6,15 @@ Steering vectors follow a uniform linear array with element phase
 steering matrix and Hf_i unit-variance circularly symmetric Gaussian fading.
 The received block (``sim.draw_block``) uses the worst-case power split: the
 served cell (index 0) transmits at p_signal, every other cell at p_interference.
+Noiseless eigen trials need only H^H H, whose steering part S_i^H S_j
+``steering_gram`` gives in closed form.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,29 +99,57 @@ class SystemParams:
 
 @dataclass
 class ChannelRealization:
-    """Per-cell steering and fading factors plus the composite channel.
+    """Per-cell AoAs and fading factors of one realization.
 
-    ``composite`` is num_antennas x (users_per_cell * num_cells) with columns
-    grouped by cell; for the iid scenario the factors are absent.
+    ``steering`` (per cell, M x P_i) and ``composite`` (M x K*L, columns
+    grouped by cell, kept once built) are built from them on demand; for the
+    iid scenario the factors are absent and ``iid_composite`` holds the
+    composite.
     """
 
     params: SystemParams
-    steering: list[np.ndarray] = field(default_factory=list)
+    aoas: list[np.ndarray] = field(default_factory=list)
     fading: list[np.ndarray] = field(default_factory=list)
-    composite: np.ndarray = None
+    iid_composite: np.ndarray | None = None
 
+    def _aoa_sets(self) -> list[np.ndarray]:
+        """The distinct AoA sets: one shared set, or one per cell."""
+        return self.aoas[:1] if self.params.scenario == "identical_aoas" else self.aoas
 
-def steering_vector(angle: float, num_antennas: int, spacing_ratio: float) -> np.ndarray:
-    """Unit-modulus array response; Euclidean norm sqrt(num_antennas).
+    @property
+    def steering(self) -> list[np.ndarray]:
+        m, d = self.params.num_antennas, self.params.spacing_ratio
+        sets = [build_steering_matrix(a, m, d) for a in self._aoa_sets()]
+        return sets * len(self.aoas) if len(sets) == 1 else sets
 
-    Entry m is exp(-j*2*pi*spacing_ratio*(m-1)*cos(angle)).
-    """
-    if not 0.0 <= angle <= np.pi:
-        raise ConfigError(f"angle {angle} outside [0, pi]")
-    if num_antennas < 1:
-        raise ConfigError("num_antennas must be >= 1")
-    phase = 2.0 * np.pi * spacing_ratio * np.arange(num_antennas) * np.cos(angle)
-    return np.exp(-1j * phase)
+    @cached_property
+    def composite(self) -> np.ndarray:
+        if self.iid_composite is not None:
+            return self.iid_composite
+        return np.concatenate([s @ h for s, h in zip(self.steering, self.fading)], axis=1)
+
+    def gram(self, cols: slice = slice(None)) -> np.ndarray:
+        """H^H H for the kept columns of the composite.
+
+        With at most M distinct AoAs it is Hf^H (S^H S) Hf from the
+        closed-form ``steering_gram``, whose cost does not grow with M;
+        otherwise the composite is built and multiplied out.
+        """
+        sets = self._aoa_sets()
+        m = self.params.num_antennas
+        if self.iid_composite is not None or sum(a.size for a in sets) > m:
+            h = self.composite[:, cols]
+            return h.conj().T @ h
+        k = self.params.users_per_cell
+        offsets = np.cumsum([0] + [a.size for a in sets])
+        coeffs = np.zeros((offsets[-1], k * len(self.fading)), dtype=complex)
+        for cell, f in enumerate(self.fading):
+            row = offsets[cell % len(sets)]  # the shared set, or the cell's own
+            coeffs[row:row + f.shape[0], cell * k:(cell + 1) * k] = f
+        coeffs = coeffs[:, cols]
+        kernel = np.block([[steering_gram(a, b, m, self.params.spacing_ratio)
+                            for b in sets] for a in sets])
+        return coeffs.conj().T @ kernel @ coeffs
 
 
 def draw_aoa_set(num_paths: int, seed) -> np.ndarray:
@@ -129,43 +160,65 @@ def draw_aoa_set(num_paths: int, seed) -> np.ndarray:
     return rng.uniform(0.0, np.pi, num_paths)
 
 
-def build_steering_matrix(aoas: np.ndarray, num_antennas: int,
-                          spacing_ratio: float) -> np.ndarray:
-    """Column j is steering_vector(aoas[j]) / sqrt(P); Frobenius norm^2 = M."""
+def _check_aoas(aoas) -> np.ndarray:
     aoas = np.asarray(aoas, dtype=float)
     if aoas.size == 0:
         raise ConfigError("empty AoA set")
     if aoas.min() < 0.0 or aoas.max() > np.pi:
         raise ConfigError("AoA outside [0, pi]")
+    return aoas
+
+
+def build_steering_matrix(aoas: np.ndarray, num_antennas: int,
+                          spacing_ratio: float) -> np.ndarray:
+    """Unit-modulus array responses scaled by 1/sqrt(P); Frobenius norm^2 = M.
+
+    Entry (m, j) is exp(-j*2*pi*spacing_ratio*m*cos(aoas[j])) / sqrt(P) for
+    m = 0..M-1.
+    """
+    aoas = _check_aoas(aoas)
     m = np.arange(num_antennas)[:, None]
     cols = np.exp(-2j * np.pi * spacing_ratio * m * np.cos(aoas)[None, :])
     return cols / np.sqrt(aoas.size)
 
 
-def realize_channel(params: SystemParams, seed) -> ChannelRealization:
-    """Draw one block-fading realization for all cells.
+def steering_gram(aoas_i: np.ndarray, aoas_j: np.ndarray, num_antennas: int,
+                  spacing_ratio: float) -> np.ndarray:
+    """S_i^H S_j of two steering matrices, without building either.
 
-    identical_aoas reuses one steering matrix for every cell; distinct_aoas
-    draws an independent AoA set per cell; iid fills the composite with
-    CN(0,1) entries directly.
+    Entry (a, b) is a Dirichlet kernel,
+    e^{j*pi*(M-1)*delta} sin(pi*M*delta) / sin(pi*delta) / sqrt(P_i P_j) with
+    delta = spacing_ratio * (cos(aoas_i[a]) - cos(aoas_j[b])) reduced mod 1
+    to [-1/2, 1/2]; where sin(pi*delta) vanishes the ratio is its limit M.
+    The cost is P_i * P_j, whatever M is.
+    """
+    a, b = _check_aoas(aoas_i), _check_aoas(aoas_j)
+    m = num_antennas
+    delta = spacing_ratio * (np.cos(a)[:, None] - np.cos(b)[None, :])
+    delta -= np.rint(delta)
+    den = np.sin(np.pi * delta)
+    ratio = np.divide(np.sin(np.pi * m * delta), den, out=np.full(delta.shape, float(m)),
+                      where=den != 0.0)
+    return np.exp(1j * np.pi * (m - 1) * delta) * ratio / np.sqrt(a.size * b.size)
+
+
+def realize_channel(params: SystemParams, seed) -> ChannelRealization:
+    """Draw one block-fading realization for all cells: the AoAs, then the
+    fading.
+
+    identical_aoas shares one AoA set among all cells; distinct_aoas draws an
+    independent set per cell; iid fills the composite with CN(0,1) entries
+    directly.
     """
     rng = _as_rng(seed)
     m, k, n_cells = params.num_antennas, params.users_per_cell, params.num_cells
     if params.scenario == "iid":
-        composite = crandn(rng, m, k * n_cells)
-        return ChannelRealization(params=params, composite=composite)
+        return ChannelRealization(params=params, iid_composite=crandn(rng, m, k * n_cells))
 
     counts = params.aoa_counts
     if params.scenario == "identical_aoas":
-        shared = build_steering_matrix(draw_aoa_set(counts[0], rng), m, params.spacing_ratio)
-        steering = [shared for _ in range(n_cells)]
+        aoas = [draw_aoa_set(counts[0], rng)] * n_cells
     else:
-        steering = [
-            build_steering_matrix(draw_aoa_set(p, rng), m, params.spacing_ratio)
-            for p in counts
-        ]
+        aoas = [draw_aoa_set(p, rng) for p in counts]
     fading = [crandn(rng, p, k) for p in counts]
-    composite = np.concatenate([s @ h for s, h in zip(steering, fading)], axis=1)
-    return ChannelRealization(params=params, steering=steering, fading=fading,
-                              composite=composite)
-
+    return ChannelRealization(params=params, aoas=aoas, fading=fading)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import dft, eigh
 
 from .errors import ConfigError
 
@@ -55,6 +54,8 @@ class PilotLayout:
 
     @cached_property
     def _pilot(self) -> np.ndarray:
+        from scipy.linalg import dft  # scipy.linalg loads only for BER runs
+
         pilot = dft(self.num_users)
         pilot.flags.writeable = False
         return pilot
@@ -77,6 +78,8 @@ def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
     M <= N, else of Y^H Y with the vectors lifted as Y V Sigma^-1.  When
     sigma_K <= GRAM_RTOL * sigma_1 the full SVD is used instead.
     """
+    from scipy.linalg import eigh
+
     m, n = y.shape
     k, r = num_users, min(m, n)
     if k > r:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import rmt
-from .channel import SystemParams, crandn, realize_channel
+from .channel import ChannelRealization, SystemParams, crandn, realize_channel
 from .errors import ConfigError
 from .estimation import (
     PilotLayout,
@@ -146,16 +146,23 @@ class EigenExperimentResult:
 
 @dataclass
 class Block:
-    """One coherence block, restricted to a slice of the composite's columns.
+    """One coherence block, restricted to a slice ``cols`` of the channel's
+    columns.
 
     ``amplitudes`` holds sqrt(power) per kept column; ``noise`` is None when
     the params disable noise.
     """
 
-    composite: np.ndarray   # M x C
+    channel: ChannelRealization
+    cols: slice
     symbols: np.ndarray     # C x N
     amplitudes: np.ndarray  # C
     noise: np.ndarray | None
+
+    @property
+    def composite(self) -> np.ndarray:
+        """The kept M x C columns of the channel."""
+        return self.channel.composite[:, self.cols]
 
     @property
     def scaled(self) -> np.ndarray:
@@ -186,19 +193,22 @@ def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
     noise = crandn(rng, params.num_antennas, n) if params.noise_enabled else None
     powers = worst_case_power_diagonal(k, l, params.signal_power,
                                        params.interference_power)
-    return Block(ch.composite[:, cols], x[cols], np.sqrt(powers[cols]), noise)
+    return Block(ch, cols, x[cols], np.sqrt(powers[cols]), noise)
 
 
 def _nonzero_block_eigs(block: Block) -> np.ndarray:
     """Nonzero eigenvalues of Y Y^H / M for one block.
 
     Noiseless blocks with few columns use the small product
-    (H^H H / M)(X X^H) whose eigenvalues equal the nonzero spectrum.
+    (H^H H / M)(X X^H) whose eigenvalues equal the nonzero spectrum; H^H H
+    comes from ``ChannelRealization.gram``, so the M x C composite is built
+    only when the AoAs outnumber the antennas.
     """
-    composite, scaled = block.composite, block.scaled
-    m, n_cols = composite.shape
+    scaled = block.scaled
+    m = block.channel.params.num_antennas
+    n_cols = scaled.shape[0]
     if block.noise is None and n_cols <= min(m, scaled.shape[1]):
-        gram_h = composite.conj().T @ composite / m
+        gram_h = block.channel.gram(block.cols) / m
         gram_x = scaled @ scaled.conj().T
         lam = np.linalg.eigvals(gram_h @ gram_x)
         if np.abs(lam.imag).max(initial=0.0) > 1e-6 * max(np.abs(lam).max(initial=0.0), 1e-300):

@@ -230,6 +230,27 @@ def test_criterion_6_antenna_saturation():
                              f"and nonincreasing: {monotone}")
 
 
+def test_criterion_6_saturation_at_large_m():
+    """Criterion 6 carried to M = 1e4 and 1e5, where the noiseless trials use
+    the closed-form steering Gram and cost about what they cost at M = 600."""
+    base = SystemParams(num_antennas=400, users_per_cell=5, num_cells=4,
+                        block_length=1000, aoa_counts=(100,), signal_power=P_S,
+                        interference_power=P_I, noise_enabled=False,
+                        spacing_ratio=2.0, scenario="identical_aoas")
+    t0 = time.time()
+    ks_values = []
+    for m_phys in (10_000, 100_000):
+        phys, iid = sim.run_saturation_experiment(100, m_phys, base, trials=500,
+                                                  seed=77)
+        assert phys.pooled().size >= 10_000 and iid.pooled().size >= 10_000
+        ks_values.append(ks_2samp(phys.pooled(), iid.pooled()).statistic)
+    elapsed = time.time() - t0
+    ok = max(ks_values) < 0.05 and elapsed < 30.0
+    assert _verdict("6 (large M)", ok, f"KS at M_phys (1e4, 1e5): "
+                                       f"{[round(k, 4) for k in ks_values]} < 0.05; "
+                                       f"pair in {elapsed:.1f} s < 30 s")
+
+
 def test_criterion_7_distinct_widening():
     base = dict(num_antennas=400, users_per_cell=5, num_cells=4, block_length=1000,
                 signal_power=P_S, interference_power=P_I, noise_enabled=False,

@@ -1,6 +1,8 @@
 """Channel model: steering geometry, AoA draws, realizations, received blocks
 (assembled by ``sim.draw_block``)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from mimospectra.channel import (
     crandn,
     draw_aoa_set,
     realize_channel,
-    steering_vector,
+    steering_gram,
 )
 from mimospectra.errors import ConfigError
 from mimospectra.sim import draw_block
@@ -24,33 +26,73 @@ def _params(**kw):
     return SystemParams(**base)
 
 
+def _column(angle, num_antennas, spacing):
+    """One steering column; with P = 1 it is the unscaled array response."""
+    return build_steering_matrix(np.array([angle]), num_antennas, spacing)[:, 0]
+
+
 class TestSteeringVector:
     def test_broadside_all_ones(self):
-        v = steering_vector(np.pi / 2, 4, 0.5)
+        v = _column(np.pi / 2, 4, 0.5)
         np.testing.assert_allclose(v, np.ones(4), atol=1e-12)
 
     def test_endfire_alternating(self):
-        v = steering_vector(0.0, 2, 0.5)
+        v = _column(0.0, 2, 0.5)
         np.testing.assert_allclose(v, [1.0, -1.0], atol=1e-12)
 
     def test_unit_modulus_and_norm(self):
-        v = steering_vector(1.0, 8, 2.0)
+        v = _column(1.0, 8, 2.0)
         np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
         assert np.linalg.norm(v) == pytest.approx(np.sqrt(8))
 
+    def test_phase_formula(self):
+        # entry m is exp(-j*2*pi*(d/lambda)*m*cos(angle)), m = 0..M-1
+        v = _column(0.7, 6, 1.5)
+        want = np.exp(-2j * np.pi * 1.5 * np.arange(6) * np.cos(0.7))
+        np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
+
     def test_angle_domain_error(self):
         with pytest.raises(ConfigError):
-            steering_vector(-0.1, 4, 0.5)
+            _column(-0.1, 4, 0.5)
         with pytest.raises(ConfigError):
-            steering_vector(np.pi + 0.1, 4, 0.5)
+            _column(np.pi + 0.1, 4, 0.5)
 
     def test_norm_for_random_angles_and_spacings(self, rng):
         for _ in range(50):
             angle = rng.uniform(0, np.pi)
             m = int(rng.integers(1, 64))
             sp = rng.uniform(0.1, 4.0)
-            v = steering_vector(angle, m, sp)
+            v = _column(angle, m, sp)
             assert np.linalg.norm(v) == pytest.approx(np.sqrt(m), rel=1e-12)
+
+
+class TestSteeringGram:
+    """The closed-form S_i^H S_j against the product of the built matrices."""
+
+    @staticmethod
+    def _rel_err(a, b, m, spacing):
+        got = steering_gram(a, b, m, spacing)
+        want = build_steering_matrix(a, m, spacing).conj().T @ build_steering_matrix(
+            b, m, spacing)
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [200, 600, 10_000])
+    @pytest.mark.parametrize("spacing", [0.5, 2.0])
+    def test_matches_direct_product(self, m, spacing, rng):
+        a = rng.uniform(0, np.pi, 40)
+        a[1] = a[0] + 1e-9          # a nearly coincident pair
+        a[2] = a[0]                 # a repeated angle: sin(pi*delta) = 0
+        a[3:5] = np.pi / 3, np.pi / 2   # delta ~ 1 at d/lambda = 2 (grating lobe)
+        b = rng.uniform(0, np.pi, 25)
+        b[0] = a[0] - 1e-9
+        assert self._rel_err(a, a, m, spacing) <= 1e-10   # within a cell
+        assert self._rel_err(a, b, m, spacing) <= 1e-10   # across cells
+
+    def test_angle_domain_error(self):
+        with pytest.raises(ConfigError):
+            steering_gram(np.array([0.5]), np.array([4.0]), 8, 0.5)
+        with pytest.raises(ConfigError):
+            steering_gram(np.array([]), np.array([0.5]), 8, 0.5)
 
 
 class TestDrawAoaSet:
@@ -126,6 +168,29 @@ class TestRealizeChannel:
         ch = realize_channel(p, 5)
         assert ch.steering[3].shape == (100, 20)
         assert not np.array_equal(ch.steering[0], ch.steering[1])
+
+    @pytest.mark.parametrize("scenario,counts", [
+        ("identical_aoas", (50,)), ("distinct_aoas", (20, 20, 25, 25)),
+        ("distinct_aoas", (50, 50, 50, 50)), ("iid", ())])
+    @pytest.mark.parametrize("cols", [slice(None), slice(0, 5), slice(5, 20)])
+    def test_gram_matches_composite_product(self, scenario, counts, cols):
+        # the closed-form path (at most M distinct AoAs) and the composite
+        # path (more AoAs than antennas, or iid) give the same H^H H
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = _params(scenario=scenario, aoa_counts=counts)
+        ch = realize_channel(p, 3)
+        h = ch.composite[:, cols]
+        want = h.conj().T @ h
+        got = ch.gram(cols)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_composite_built_on_demand(self):
+        ch = realize_channel(_params(), 4)
+        assert "composite" not in vars(ch)
+        ch.gram()
+        assert "composite" not in vars(ch)
+        assert ch.composite.shape == (100, 20)
 
     def test_k_above_p_rejected(self):
         with pytest.raises(ConfigError):

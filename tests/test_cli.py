@@ -336,3 +336,17 @@ def test_payload_bytes_invariant_to_thread_settings(kind, tmp_path):
         outputs[name] = [json.dumps(payload, sort_keys=True).encode()] + [
             path.read_bytes() for path in sorted(out.glob("*.csv"))]
     assert outputs["blas1"] == outputs["blas2"] == outputs["workers2"]
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """Start-up cost: the CLI and the laws load no scipy.linalg; only the BER
+    estimators import it, on first use."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, mimospectra.cli, mimospectra.rmt\n"
+            "print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

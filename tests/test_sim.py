@@ -103,6 +103,21 @@ class TestEigenExperiment:
 
         assert intf_width(res_s).mean() > intf_width(res_e).mean()
 
+    @pytest.mark.parametrize("scenario,counts", [("identical_aoas", (100,)),
+                                                 ("distinct_aoas", (40, 40, 50, 50))])
+    def test_closed_form_gram_matches_direct_path(self, scenario, counts):
+        # noiseless samples from the closed-form steering Gram against the
+        # same blocks' eigenvalues through the built composite
+        p = _params(scenario=scenario, aoa_counts=counts, users_per_cell=4)
+        for t in range(5):
+            block = sim.draw_block(p, sim.trial_rng(9, t),
+                                   lambda rng: sim.crandn(rng, 16, 500))
+            got = sim._nonzero_block_eigs(block)
+            h, x = block.composite, block.scaled
+            want = np.sort(np.linalg.eigvals(
+                (h.conj().T @ h / p.num_antennas) @ (x @ x.conj().T)).real)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
     def test_noisy_path_uses_full_spectrum(self):
         p = _params(noise_enabled=True, num_antennas=50, block_length=80,
                     aoa_counts=(25,))
