@@ -12,6 +12,7 @@ Noiseless eigen trials need only H^H H, whose steering part S_i^H S_j
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,8 +31,17 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
-    """CN(0,1) array: variance 1/2 per real component."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """CN(0,1) array: variance 1/2 per real component.
+
+    Bit-identical to (a + 1j*b) / sqrt(2) for the draws a, then b (numpy
+    divides a complex number by a real one as a product with its reciprocal),
+    without the temporaries of that expression.
+    """
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= 1.0 / np.sqrt(2.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,11 +184,18 @@ def build_steering_matrix(aoas: np.ndarray, num_antennas: int,
     """Unit-modulus array responses scaled by 1/sqrt(P); Frobenius norm^2 = M.
 
     Entry (m, j) is exp(-j*2*pi*spacing_ratio*m*cos(aoas[j])) / sqrt(P) for
-    m = 0..M-1.
+    m = 0..M-1.  With b = ceil(sqrt(M)) and m = b*q + r, each column is the
+    product of a coarse table e^{j theta b q} and a fine one e^{j theta r}:
+    about 2 sqrt(M) complex exponentials per angle instead of M, and no
+    larger phase error than the direct exponential.
     """
     aoas = _check_aoas(aoas)
-    m = np.arange(num_antennas)[:, None]
-    cols = np.exp(-2j * np.pi * spacing_ratio * m * np.cos(aoas)[None, :])
+    b = math.isqrt(max(num_antennas - 1, 0)) + 1
+    q = -(-num_antennas // b)
+    theta = -2.0 * np.pi * spacing_ratio * np.cos(aoas)
+    coarse = np.exp(1j * (b * np.arange(q))[:, None] * theta)
+    fine = np.exp(1j * np.arange(b)[:, None] * theta)
+    cols = (coarse[:, None, :] * fine[None, :, :]).reshape(q * b, aoas.size)[:num_antennas]
     return cols / np.sqrt(aoas.size)
 
 
@@ -190,16 +207,25 @@ def steering_gram(aoas_i: np.ndarray, aoas_j: np.ndarray, num_antennas: int,
     e^{j*pi*(M-1)*delta} sin(pi*M*delta) / sin(pi*delta) / sqrt(P_i P_j) with
     delta = spacing_ratio * (cos(aoas_i[a]) - cos(aoas_j[b])) reduced mod 1
     to [-1/2, 1/2]; where sin(pi*delta) vanishes the ratio is its limit M.
-    The cost is P_i * P_j, whatever M is.
+    The phase is the outer product of per-angle phases
+    e^{+-j*pi*(M-1)*spacing_ratio*cos(phi)}, times (-1)^((M-1)*k) for the
+    integer k removed by the reduction.  The cost is P_i * P_j, whatever M
+    is.
     """
     a, b = _check_aoas(aoas_i), _check_aoas(aoas_j)
     m = num_antennas
-    delta = spacing_ratio * (np.cos(a)[:, None] - np.cos(b)[None, :])
-    delta -= np.rint(delta)
+    cos_a, cos_b = np.cos(a), np.cos(b)
+    delta = spacing_ratio * (cos_a[:, None] - cos_b[None, :])
+    k = np.rint(delta)
+    delta -= k
     den = np.sin(np.pi * delta)
     ratio = np.divide(np.sin(np.pi * m * delta), den, out=np.full(delta.shape, float(m)),
                       where=den != 0.0)
-    return np.exp(1j * np.pi * (m - 1) * delta) * ratio / np.sqrt(a.size * b.size)
+    ratio *= (1.0 - 2.0 * ((m - 1) * k.astype(np.int64) & 1)) / np.sqrt(a.size * b.size)
+    half = np.pi * (m - 1) * spacing_ratio
+    kernel = np.exp(1j * half * cos_a)[:, None] * np.exp(-1j * half * cos_b)[None, :]
+    kernel *= ratio
+    return kernel
 
 
 def realize_channel(params: SystemParams, seed) -> ChannelRealization:

@@ -196,8 +196,31 @@ def mp_s_transform(z, ratio: float):
 # root continuation shared by the implicit laws
 # ---------------------------------------------------------------------------
 
-def _roots_ascending(coeffs: np.ndarray) -> np.ndarray:
-    return np.roots(coeffs[::-1])
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each column of descending coefficients, shape (degree + 1, n),
+    as an (n, degree) array, from one stacked companion-matrix eigen solve per
+    column degree.  Leading |c| <= 1e-300 are trimmed per column; the roots
+    they drop are NaN.  The matrices are those of ``np.roots``, so with a
+    nonzero constant term the roots and their order are the same."""
+    coeffs = np.asarray(coeffs)
+    deg = coeffs.shape[0] - 1
+    big = np.abs(coeffs) > 1e-300
+    order = np.where(big.any(axis=0), deg - np.argmax(big, axis=0), 0)
+    out = np.full((coeffs.shape[1], deg), np.nan, dtype=complex)
+    for d in np.unique(order[order > 0]):
+        cols = order == d
+        c = coeffs[deg - d:, cols]
+        comp = np.zeros((c.shape[1], d, d), dtype=c.dtype)
+        comp[:, 0, :] = (-c[1:] / c[0]).T
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        out[cols, :d] = np.linalg.eigvals(comp)
+    return out
+
+
+def _roots_at(coeff_fn, points) -> np.ndarray:
+    """Roots in G of F(s, G) = 0 at each point s, one row per point."""
+    coeffs = np.array([coeff_fn(complex(s)) for s in points])
+    return companion_roots(coeffs[:, ::-1].T)
 
 
 def _nearest(roots: np.ndarray, g: complex):
@@ -209,12 +232,14 @@ def _nearest(roots: np.ndarray, g: complex):
 
 
 def _track_to(coeff_fn, s_from: complex, g_from: complex, s_to: complex,
-              depth: int = 0) -> complex:
+              depth: int = 0, roots: np.ndarray | None = None) -> complex:
     """Continue the tracked root from (s_from, g_from) to s_to, refining the
-    step whenever the nearest-root choice is ambiguous."""
-    roots = _roots_ascending(coeff_fn(s_to))
+    step whenever the nearest-root choice is ambiguous.  ``roots`` are the
+    roots at s_to when the caller already has them."""
+    if roots is None:
+        roots = _roots_at(coeff_fn, [s_to])[0]
+    roots = roots[~np.isnan(roots)]
     g, margin = _nearest(roots, g_from)
-    step = abs(s_to - s_from)
     moved = abs(g - g_from)
     if margin > 3.0 or moved < 0.25 * (1.0 + abs(g_from)):
         return g
@@ -228,7 +253,8 @@ def _track_to(coeff_fn, s_from: complex, g_from: complex, s_to: complex,
 
 
 def _trace_from_anchor(coeff_fn, s: complex) -> complex:
-    """Anchor at Im = 1e6 (where G = -1/s) and descend vertically to s."""
+    """Anchor at Im = 1e6 (where G = -1/s) and descend vertically to s; the
+    roots along the whole path come from one stacked solve."""
     s = complex(s)
     if s.imag <= 0:
         raise ConfigError("law evaluation requires Im s > 0")
@@ -238,13 +264,13 @@ def _trace_from_anchor(coeff_fn, s: complex) -> complex:
     path = s.real + 1j * np.geomspace(top, s.imag, n_steps)
     g = -1.0 / path[0]
     s_prev = path[0]
-    for sk in path:
-        g = _track_to(coeff_fn, s_prev, g, complex(sk))
+    for sk, roots in zip(path, _roots_at(coeff_fn, path)):
+        g = _track_to(coeff_fn, s_prev, g, complex(sk), roots=roots)
         s_prev = complex(sk)
     if g.imag < -1e-10:
         raise BranchTrackingError(
             f"tracked root lost Herglotz property at s={s:.6g}: G={g:.6g}",
-            roots=_roots_ascending(coeff_fn(s)))
+            roots=_roots_at(coeff_fn, [s])[0])
     return g
 
 
@@ -252,8 +278,9 @@ def _eval_implicit(coeff_fn, s, g0=None):
     """Evaluate a polynomial-implicit law at scalar or array s.
 
     Array inputs are evaluated in order with warm starts between nearby
-    points; a fresh anchor descent is used whenever the previous point is
-    too far away or tracking degrades.
+    points, from the roots of one stacked solve over all points; a fresh
+    anchor descent is used whenever the previous point is too far away or
+    tracking degrades.
     """
     s_arr = np.asarray(s, dtype=complex)
     if s_arr.ndim == 0:
@@ -268,14 +295,14 @@ def _eval_implicit(coeff_fn, s, g0=None):
     out = np.empty(flat.shape, dtype=complex)
     g_prev = None
     s_prev = None
-    for i, sc in enumerate(flat):
+    for i, (sc, roots) in enumerate(zip(flat, _roots_at(coeff_fn, flat))):
         sc = complex(sc)
         fresh = (g_prev is None or abs(sc - s_prev) > 0.5 * (1.0 + abs(s_prev)))
         if fresh:
             g = _trace_from_anchor(coeff_fn, sc)
         else:
             try:
-                g = _track_to(coeff_fn, s_prev, g_prev, sc)
+                g = _track_to(coeff_fn, s_prev, g_prev, sc, roots=roots)
                 if g.imag < -1e-10:
                     g = _trace_from_anchor(coeff_fn, sc)
             except BranchTrackingError:

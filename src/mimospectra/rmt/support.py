@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .laws import (DoubleSidedParams, OneSidedParams, distinct_table,
+from .laws import (DoubleSidedParams, OneSidedParams, companion_roots, distinct_table,
                    double_sided_table, iid_table, onesided_table)
 
 
@@ -111,24 +111,11 @@ class TruncationReport:
 
 def _sorted_real_roots(coeffs: np.ndarray, rtol: float = 1e-7) -> np.ndarray:
     """Real roots of each column of descending coefficients, shape (degree
-    + 1, n), as a (degree, n) array: ascending, NaN-padded.  Leading |c| <=
-    1e-300 are trimmed per column, as before a single ``np.roots`` call."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    deg = coeffs.shape[0] - 1
-    big = np.abs(coeffs) > 1e-300
-    order = np.where(big.any(axis=0), deg - np.argmax(big, axis=0), 0)
-    out = np.full((deg, coeffs.shape[1]), np.nan)
-    for d in np.unique(order[order > 0]):
-        cols = order == d
-        c = coeffs[deg - d:, cols]
-        comp = np.zeros((c.shape[1], d, d))
-        comp[:, 0, :] = (-c[1:] / c[0]).T
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        r = np.linalg.eigvals(comp)
-        scale = np.maximum(1.0, np.max(np.abs(r), axis=1, keepdims=True))
-        out[:d, cols] = np.sort(np.where(np.abs(r.imag) <= rtol * scale,
-                                         r.real, np.nan), axis=1).T
-    return out
+    + 1, n), as a (degree, n) array: ascending, NaN-padded.  A root is real
+    when |Im r| <= rtol * max(1, max |r|) over its column's roots."""
+    r = companion_roots(np.asarray(coeffs, dtype=float))
+    scale = np.fmax.reduce(np.abs(r), axis=1, initial=1.0, keepdims=True)
+    return np.sort(np.where(np.abs(r.imag) <= rtol * scale, r.real, np.nan), axis=1).T
 
 
 def _split_at(xs: np.ndarray, cut_points) -> list[np.ndarray]:
@@ -235,7 +222,7 @@ def scan_support(table: np.ndarray, grid: SupportGrid,
     polynomial; the grid is split at the real roots of its leading s-row.
     """
     powers = np.arange(table.shape[1])[:, None]
-    poles = np.roots(table[-1, ::-1])
+    poles = companion_roots(table[-1, ::-1, None])[0]
     poles = poles[np.abs(poles.imag) <= 1e-7 * np.maximum(1.0, np.abs(poles))].real
     xs_pos = grid.positive_side()
     gaps: list[tuple[float, float]] = []

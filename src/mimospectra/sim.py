@@ -202,18 +202,25 @@ def _nonzero_block_eigs(block: Block) -> np.ndarray:
     Noiseless blocks with few columns use the small product
     (H^H H / M)(X X^H) whose eigenvalues equal the nonzero spectrum; H^H H
     comes from ``ChannelRealization.gram``, so the M x C composite is built
-    only when the AoAs outnumber the antennas.
+    only when the AoAs outnumber the antennas.  With X X^H = L L^H the
+    product is similar to the Hermitian L^H (H^H H / M) L; a singular X X^H
+    (no Cholesky factor) takes the general eigen solve of the product.
     """
-    scaled = block.scaled
+    x, amp = block.symbols, block.amplitudes
     m = block.channel.params.num_antennas
-    n_cols = scaled.shape[0]
-    if block.noise is None and n_cols <= min(m, scaled.shape[1]):
+    if block.noise is None and x.shape[0] <= min(m, x.shape[1]):
         gram_h = block.channel.gram(block.cols) / m
-        gram_x = scaled @ scaled.conj().T
-        lam = np.linalg.eigvals(gram_h @ gram_x)
-        if np.abs(lam.imag).max(initial=0.0) > 1e-6 * max(np.abs(lam).max(initial=0.0), 1e-300):
-            raise ConfigError("product eigenvalues unexpectedly complex")
-        lam = np.sort(lam.real)
+        gram_x = amp[:, None] * (x @ x.conj().T) * amp
+        try:
+            low = np.linalg.cholesky(gram_x)
+        except np.linalg.LinAlgError:
+            lam = np.linalg.eigvals(gram_h @ gram_x)
+            if np.abs(lam.imag).max(initial=0.0) > 1e-6 * max(np.abs(lam).max(initial=0.0),
+                                                               1e-300):
+                raise ConfigError("product eigenvalues unexpectedly complex") from None
+            lam = np.sort(lam.real)
+        else:
+            lam = np.linalg.eigvalsh(low.conj().T @ gram_h @ low)
     else:
         sv = np.linalg.svd(block.received, compute_uv=False)
         lam = np.sort(sv ** 2 / m)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import crandn as crandn_reference
 from mimospectra.channel import (
     SystemParams,
     build_steering_matrix,
@@ -136,6 +137,46 @@ class TestBuildSteeringMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             build_steering_matrix(np.array([]), 4, 0.5)
+
+    @staticmethod
+    def _direct(aoas, m, spacing):
+        """The unscaled array response from one exponential per entry."""
+        return np.exp(-2j * np.pi * spacing * np.arange(m)[:, None] * np.cos(aoas)[None, :])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double on this platform")
+    @pytest.mark.parametrize("m", [400, 10_000, 100_000])
+    def test_phase_tables_against_long_double_phases(self, m, rng):
+        # reference phases in long double, reduced to [-pi, pi] before the
+        # double exponential; the bound is one ulp-scale error of the largest
+        # phase 2 pi (d/lambda) M, which the direct exponential can exceed
+        aoas = rng.uniform(0, np.pi, 8)
+        spacing = 2.0
+        ld = np.longdouble
+        two_pi = 8 * np.arctan(ld(1))
+        phase = (-two_pi * ld(spacing)) * np.arange(m, dtype=ld)[:, None] \
+            * np.cos(aoas.astype(ld))[None, :]
+        phase -= two_pi * np.rint(phase / two_pi)
+        want = np.exp(1j * phase.astype(float))
+        got = build_steering_matrix(aoas, m, spacing) * np.sqrt(aoas.size)
+        err = np.abs(got - want).max()
+        assert err <= np.finfo(float).eps * 2 * np.pi * spacing * m
+        assert err <= np.abs(self._direct(aoas, m, spacing) - want).max()
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 401])
+    def test_phase_tables_when_m_is_not_a_multiple_of_the_block(self, m, rng):
+        aoas = rng.uniform(0, np.pi, 5)
+        got = build_steering_matrix(aoas, m, 1.5)
+        assert got.shape == (m, 5)
+        np.testing.assert_allclose(got * np.sqrt(5), self._direct(aoas, m, 1.5),
+                                   rtol=0, atol=1e-12)
+
+
+def test_crandn_bit_identical_to_the_complex_expression():
+    got = crandn(np.random.default_rng(3), 20, 1000)
+    want = crandn_reference(np.random.default_rng(3), 20, 1000)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestRealizeChannel:

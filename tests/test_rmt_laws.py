@@ -1,11 +1,14 @@
 """Stieltjes-domain law evaluators against closed forms and Monte Carlo."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import crandn, onesided_product_eigs, steering
 from mimospectra import rmt
 from mimospectra.errors import ConfigError
+from mimospectra.rmt import laws
 
 FIG3_ONESIDED = rmt.OneSidedParams(scale=0.1, inner_dim=5, m=400, n=1000, p=200)
 FIG3_DOUBLE = rmt.DoubleSidedParams(num_users=5, num_cells=4, num_antennas=400,
@@ -393,6 +396,91 @@ class TestSteeringVersusIidSurrogate:
         mc = np.mean(vals)
         g = rmt.stieltjes_onesided(s, p)
         assert abs(g - mc) / abs(mc) < 0.03
+
+
+# Reference continuation for the stacked solves: the per-point form of
+# laws._track_to, _trace_from_anchor and _eval_implicit, one np.roots call per
+# path or grid point.
+
+def _ref_track_to(coeff_fn, s_from, g_from, s_to, depth=0):
+    roots = np.roots(coeff_fn(s_to)[::-1])
+    d = np.abs(roots - g_from)
+    order = np.argsort(d)
+    g = roots[order[0]]
+    margin = d[order[1]] / max(d[order[0]], 1e-300) if len(order) > 1 else np.inf
+    if margin > 3.0 or abs(g - g_from) < 0.25 * (1.0 + abs(g_from)):
+        return g
+    assert depth < 24
+    mid = 0.5 * (s_from + s_to)
+    g_mid = _ref_track_to(coeff_fn, s_from, g_from, mid, depth + 1)
+    return _ref_track_to(coeff_fn, mid, g_mid, s_to, depth + 1)
+
+
+def _ref_trace_from_anchor(coeff_fn, s):
+    s = complex(s)
+    top = max(1e6, 2.0 * s.imag)
+    n_steps = max(48, int(32 * max(1.0, math.log10(top / s.imag))))
+    path = s.real + 1j * np.geomspace(top, s.imag, n_steps)
+    g, s_prev = -1.0 / path[0], path[0]
+    for sk in path:
+        g = _ref_track_to(coeff_fn, s_prev, g, complex(sk))
+        s_prev = complex(sk)
+    return g
+
+
+def _ref_eval_array(coeff_fn, s):
+    out, g_prev, s_prev = [], None, None
+    for sc in map(complex, s):
+        if g_prev is None or abs(sc - s_prev) > 0.5 * (1.0 + abs(s_prev)):
+            g = _ref_trace_from_anchor(coeff_fn, sc)
+        else:
+            g = _ref_track_to(coeff_fn, s_prev, g_prev, sc)
+            if g.imag < -1e-10:
+                g = _ref_trace_from_anchor(coeff_fn, sc)
+        out.append(g)
+        g_prev, s_prev = g, sc
+    return np.array(out)
+
+
+class TestStackedDescent:
+    """Descents and warm-started grids from stacked root solves against the
+    per-point reference, on the points of the benchmark's law operation: the
+    400-point density grid at eps = 1e-4 and cold points at Im s = 1e-3."""
+
+    TABLES = {
+        "double_sided": lambda: laws.double_sided_table(FIG3_DOUBLE),
+        "one_sided": lambda: laws.onesided_table(FIG3_ONESIDED),
+        "iid": lambda: laws.iid_table(0.1, 5 / 400, 5 / 1000),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_bitwise_equal_to_per_point_tracking(self, name):
+        table = self.TABLES[name]()
+        coeff_fn = lambda s: laws._forward(table, s)
+        grid = np.linspace(0.002, 0.25, 400) + 1e-4j
+        got = laws._eval_implicit(coeff_fn, grid)
+        assert got.tobytes() == _ref_eval_array(coeff_fn, grid).tobytes()
+        for x in np.random.default_rng(1234).uniform(0.002, 0.25, 8):
+            s = complex(x, 1e-3)
+            assert laws._eval_implicit(coeff_fn, s) == _ref_trace_from_anchor(coeff_fn, s)
+
+    def test_ambiguous_step_is_still_refined(self):
+        # roots a(s) +- 1 with a = -1/s - 1 until Im s = 1, then a ramp of
+        # +1 over Im s in (0.999, 1): one path step jumps both roots, the
+        # nearest-root choice ties, and only bisection keeps the branch that
+        # starts at G = -1/s, which ends at -1/s + 1
+        calls = []
+
+        def coeff_fn(s):
+            calls.append(s)
+            a = -1.0 / s - 1.0 + np.clip((1.0 - s.imag) / 1e-3, 0.0, 1.0)
+            return np.array([a * a - 1.0, -2.0 * a, 1.0])
+
+        s = 0.1 + 1e-3j
+        g = laws._eval_implicit(coeff_fn, s)
+        assert len(calls) > 288      # more evaluations than path points: it refined
+        assert g == _ref_trace_from_anchor(coeff_fn, s)
+        assert abs(g - (-1.0 / s + 1.0)) < 1e-12
 
 
 class TestErrorContracts:

@@ -1,6 +1,9 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
+import itertools
 import os
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +127,77 @@ class TestEigenExperiment:
         res = sim.run_eigen_experiment(p, 1, 6, attach_supports=False)
         # noise lifts the rank: all min(M, N) eigenvalues are nonzero
         assert len(res.samples_per_trial[0]) == 50
+
+
+def _product_eigs_reference(block):
+    """Nonzero eigenvalues of (H^H H / M)(X X^H) from the general eigen solve."""
+    m = block.channel.params.num_antennas
+    lam = np.linalg.eigvals(block.channel.gram(block.cols) / m
+                            @ (block.scaled @ block.scaled.conj().T))
+    lam = np.sort(lam.real)
+    return lam[lam > sim.NONZERO_EIG_RTOL * lam.max()]
+
+
+class TestHermitianProductSolve:
+    """The Cholesky-similar Hermitian solve of the noiseless product."""
+
+    FIG = dict(users_per_cell=5, num_cells=4, block_length=1000, signal_power=0.1,
+               interference_power=10.0 ** -1.6)
+
+    @pytest.mark.parametrize("shape", [
+        dict(num_antennas=400, aoa_counts=(200,)),                        # fig3
+        dict(num_antennas=600, aoa_counts=(100,)),                        # fig4, physical
+        dict(num_antennas=100, scenario="iid"),                           # fig4, i.d.
+        dict(num_antennas=400, aoa_counts=(200,) * 4, scenario="distinct_aoas"),  # fig5
+    ])
+    def test_matches_general_eigen_solve_on_figure_shapes(self, shape):
+        p = _params(**self.FIG, **shape)
+        for t in range(3):
+            block = sim.draw_block(p, sim.trial_rng(21, t),
+                                   lambda rng: sim.crandn(rng, 20, 1000))
+            got = sim._nonzero_block_eigs(block)
+            want = _product_eigs_reference(block)
+            assert got.shape == want.shape == (20,)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_singular_symbol_gram_takes_the_general_solve(self, monkeypatch):
+        p = _params(users_per_cell=4)
+        block = sim.draw_block(p, sim.trial_rng(9, 0), lambda rng: sim.crandn(rng, 16, 500))
+        general = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: general.append(a) or eigvals(a))
+        # repeat a row within its power group: X X^H is singular; rounding
+        # decides whether Cholesky still finds a factor, so take the first
+        # pair that reaches the general solve
+        for src, row in itertools.combinations(range(16), 2):
+            if (src < 4) != (row < 4):
+                continue
+            symbols = block.symbols.copy()
+            symbols[row] = symbols[src]
+            singular = replace(block, symbols=symbols)
+            got = sim._nonzero_block_eigs(singular)
+            if general:
+                break
+        else:
+            pytest.fail("every repeated row still had a Cholesky factor")
+        sv = np.linalg.svd(singular.received, compute_uv=False)
+        want = np.sort(sv ** 2 / p.num_antennas)
+        want = want[want > sim.NONZERO_EIG_RTOL * want.max()]
+        assert got.shape == want.shape == (15,)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_complex_product_spectrum_is_a_config_error(self):
+        # a non-Hermitian "Gram" with a singular X X^H reaches the general
+        # solve, whose eigenvalues +-i must be rejected
+        rot = np.zeros((3, 3))
+        rot[0, 1], rot[1, 0] = 10.0, -10.0
+        channel = SimpleNamespace(params=SimpleNamespace(num_antennas=10),
+                                  gram=lambda cols: rot)
+        symbols = np.zeros((3, 5), dtype=complex)
+        symbols[0, 0] = symbols[1, 1] = 1.0
+        block = sim.Block(channel, slice(None), symbols, np.ones(3), None)
+        with pytest.raises(ConfigError, match="unexpectedly complex"):
+            sim._nonzero_block_eigs(block)
 
 
 class TestSupportOverlays:
