@@ -16,9 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
+import math
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +30,58 @@ from . import __version__, rmt, sim
 from .channel import SystemParams
 from .errors import ConfigError, NumericalError
 
-POWER_DB_KEYS = {"signal_power", "interference_power"}
 
-_SYSTEM_KEYS = {"scenario", "num_antennas", "users_per_cell", "num_cells",
-                "block_length", "aoa_counts", "signal_power", "interference_power",
-                "noise_enabled", "spacing_ratio"}
-_BER_KEYS = {"ratios_db", "snr_db", "bits_target"}
-_COMMON_KEYS = {"kind", "label", "seed"} | _SYSTEM_KEYS
+def _key_types(target, optional: bool) -> dict:
+    """Key types of the annotated arguments of a function or dataclass; one
+    with a default is optional (an absent key takes the target's default) or,
+    with ``optional=False``, not accepted."""
+    hints = typing.get_type_hints(target)
+    return {name: hints[name] if p.default is p.empty else (hints[name], None)
+            for name, p in inspect.signature(target).parameters.items()
+            if name in hints and (optional or p.default is p.empty)}
+
+
+_SYSTEM_TYPES = _key_types(SystemParams, optional=True)
+_DB_KEYS = {"signal_power_db", "interference_power_db"}
+_COMMON_TYPES = {"kind": str, "label": (str, None), "seed": (int, 1234),
+                 **dict.fromkeys(_DB_KEYS, (float, None)), **_SYSTEM_TYPES}
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
+def _as_type(val, t, where: str):
+    """``val`` as type ``t``, or a ConfigError naming ``where``: a bool is not
+    a number, an int is also a float, a float is finite, and a list or tuple
+    type is a JSON list of its element type."""
+    elem = typing.get_args(t)[:1]
+    if elem and isinstance(val, list):
+        return typing.get_origin(t)(_as_type(v, elem[0], f"{where}[{i}]")
+                                    for i, v in enumerate(val))
+    if not elem and isinstance(val, bool) == (t is bool) and isinstance(
+            val, (int, float) if t is float else t):
+        try:
+            if t is not float or math.isfinite(val):
+                return float(val) if t is float else val
+        except OverflowError:
+            pass
+    name = f"list of {_JSON_NAMES[elem[0]]}s" if elem else _JSON_NAMES[t]
+    raise ConfigError(f"{where}={val!r}; expected {name}")
+
+
+def _checked(raw: dict, types: dict, where: str) -> dict:
+    """``raw`` with its values converted to their key types and defaults filled
+    in.  ``types`` maps a key to T (required), (T, default) or (T, None)
+    (optional, no default)."""
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    out = {key: _as_type(val, types[key][0] if isinstance(types[key], tuple) else types[key],
+                         f"{where}.{key}") for key, val in raw.items()}
+    for key, spec in types.items():
+        if not isinstance(spec, tuple) and key not in out:
+            raise ConfigError(f"{where}.{key} is required but missing")
+        if isinstance(spec, tuple) and spec[1] is not None:
+            out.setdefault(key, spec[1])
+    return out
 
 
 def _preset_table() -> dict[str, dict]:
@@ -101,62 +149,32 @@ def _desk_scale(cfg: dict) -> dict:
     return out
 
 
-def _convert_db_keys(cfg: dict) -> dict:
-    out = {}
-    for key, val in cfg.items():
-        if key.endswith("_db") and key[:-3] in POWER_DB_KEYS:
-            out[key[:-3]] = 10.0 ** (float(val) / 10.0)
-        else:
-            out[key] = val
-    return out
+def _load_json_object(path: str, what: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} file {path} holds a {type(raw).__name__}, not a JSON object")
+    return raw
 
 
 def parse_config(raw: dict) -> dict:
-    """Validate a raw config dict: fill defaults, reject unknown keys."""
-    cfg = _convert_db_keys(raw)
-    kind = cfg.get("kind")
-    if kind not in KINDS:
+    """Check a raw config against its kind's key types and fill defaults."""
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"config.kind={kind!r}; expected one of {sorted(KINDS)}")
-    allowed = _COMMON_KEYS | KINDS[kind][0]
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    seed = cfg.setdefault("seed", 1234)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"config.seed={seed!r}; expected a non-negative integer")
+    cfg = {k[:-3] if k in _DB_KEYS else k: sim.db_to_linear(v) if k in _DB_KEYS else v
+           for k, v in _checked(raw, {**_COMMON_TYPES, **KINDS[kind][0]}, "config").items()}
+    if cfg["seed"] < 0:
+        raise ConfigError(f"config.seed={cfg['seed']!r}; expected a non-negative integer")
     cfg.setdefault("label", kind)
-    if _BER_KEYS <= allowed:
-        for key in sorted(_BER_KEYS):
-            if key not in cfg:
-                raise ConfigError(f"config.{key} is required for kind={kind}")
-        cfg["signal_power"] = sim.snr_db_to_signal_power(float(cfg["snr_db"]))
+    if "snr_db" in cfg:  # the BER kinds
+        cfg["signal_power"] = sim.snr_db_to_signal_power(cfg["snr_db"])
         cfg.setdefault("interference_power", cfg["signal_power"])
-        cfg.setdefault("noise_enabled", True)
-    if kind == "eigen":
-        cfg.setdefault("trials", 20)
-        cfg.setdefault("terms", "all")
-        cfg.setdefault("noise_enabled", False)
     # build SystemParams early so dimension errors surface as config errors
-    cfg["_system"] = system_params_from_config(cfg)
+    cfg["_system"] = SystemParams(**{k: cfg[k] for k in _SYSTEM_TYPES if k in cfg})
     return cfg
-
-
-def system_params_from_config(cfg: dict) -> SystemParams:
-    try:
-        return SystemParams(
-            num_antennas=int(cfg["num_antennas"]),
-            users_per_cell=int(cfg["users_per_cell"]),
-            num_cells=int(cfg["num_cells"]),
-            block_length=int(cfg["block_length"]),
-            aoa_counts=tuple(int(p) for p in cfg.get("aoa_counts", ())),
-            signal_power=float(cfg.get("signal_power", 1.0)),
-            interference_power=float(cfg.get("interference_power", 0.0)),
-            noise_enabled=bool(cfg.get("noise_enabled", True)),
-            spacing_ratio=float(cfg.get("spacing_ratio", 2.0)),
-            scenario=str(cfg.get("scenario", "identical_aoas")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing required config key: {exc.args[0]}") from exc
 
 
 def load_config(preset: str | None, config_path: str | None, scale: str,
@@ -171,13 +189,7 @@ def load_config(preset: str | None, config_path: str | None, scale: str,
         if scale == "desk":
             raw = _desk_scale(raw)
     if config_path is not None:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            raw.update(json.loads(path.read_text()))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        raw.update(_load_json_object(config_path, "config"))
     raw.update(overrides)
     return parse_config(raw)
 
@@ -211,14 +223,13 @@ def _ber_payload(results: dict[str, sim.BerResult]) -> dict:
 
 
 def _run_eigen(cfg: dict, params: SystemParams) -> dict:
-    res = sim.run_eigen_experiment(params, int(cfg["trials"]), int(cfg["seed"]),
-                                   terms=cfg["terms"])
+    res = sim.run_eigen_experiment(params, cfg["trials"], cfg["seed"], terms=cfg["terms"])
     return {"eigen": _eigen_payload(res)}
 
 
 def _run_saturation(cfg: dict, params: SystemParams) -> dict:
-    phys, iid = sim.run_saturation_experiment(int(cfg["num_aoas"]), int(cfg["m_physical"]),
-                                              params, int(cfg["trials"]), int(cfg["seed"]))
+    phys, iid = sim.run_saturation_experiment(cfg["num_aoas"], cfg["m_physical"], params,
+                                              cfg["trials"], cfg["seed"])
     return {"saturation": {"physical": _eigen_payload(phys), "iid": _eigen_payload(iid)}}
 
 
@@ -253,7 +264,7 @@ def _ber_runner(family):
     SystemParams variants that ``family(cfg, params)`` builds."""
     def run(cfg: dict, params: SystemParams) -> dict:
         results = sim.run_ber_sweep(family(cfg, params), cfg["ratios_db"],
-                                    int(cfg["bits_target"]), int(cfg["seed"]))
+                                    cfg["bits_target"], cfg["seed"])
         return {"ber": {label: _ber_payload(res) for label, res in results.items()}}
     return run
 
@@ -263,24 +274,28 @@ def _iid(params: SystemParams) -> dict[str, SystemParams]:
     return {"iid": dataclasses.replace(params, scenario="iid", aoa_counts=())}
 
 
-# kind -> (kind-specific config keys, runner(cfg, params) -> payload)
+_BER_TYPES = {"ratios_db": list[float], "snr_db": float, "bits_target": int,
+              "noise_enabled": (bool, True)}
+
+# kind -> (types of its own keys, runner(cfg, params) -> payload)
 KINDS = {
-    "eigen": ({"trials", "terms"}, _run_eigen),
-    "saturation": ({"trials", "num_aoas", "m_physical"}, _run_saturation),
-    "ber": (_BER_KEYS | {"m_values"}, _ber_runner(lambda cfg, p: {
-        **{f"M={m}": dataclasses.replace(p, num_antennas=int(m))
+    "eigen": ({"trials": (int, 20), "terms": (str, "all"), "noise_enabled": (bool, False)},
+              _run_eigen),
+    "saturation": ({"trials": int, "num_aoas": int, "m_physical": int}, _run_saturation),
+    "ber": ({**_BER_TYPES, "m_values": (list[int], None)}, _ber_runner(lambda cfg, p: {
+        **{f"M={m}": dataclasses.replace(p, num_antennas=m)
            for m in cfg.get("m_values") or [p.num_antennas]},
         **_iid(p)})),
-    "ber_aoa": (_BER_KEYS | {"p_values", "include_iid"}, _ber_runner(lambda cfg, p: {
-        **{f"P={c}": dataclasses.replace(p, aoa_counts=(int(c),) * p.num_cells)
-           for c in cfg["p_values"]},
-        **(_iid(p) if cfg.get("include_iid", True) else {})})),
-    "ber_distinct": (_BER_KEYS | {"p4_values"}, _ber_runner(lambda cfg, p: {
+    "ber_aoa": ({**_BER_TYPES, "p_values": list[int], "include_iid": (bool, True)},
+                _ber_runner(lambda cfg, p: {
+                    **{f"P={c}": dataclasses.replace(p, aoa_counts=(c,) * p.num_cells)
+                       for c in cfg["p_values"]},
+                    **(_iid(p) if cfg["include_iid"] else {})})),
+    "ber_distinct": ({**_BER_TYPES, "p4_values": list[int]}, _ber_runner(lambda cfg, p: {
         f"P4={p4}": q for p4, q in sim.distinct_aoa_variants(p, cfg["p4_values"]).items()})),
-    "ber_short": (_BER_KEYS | {"n_values"}, _ber_runner(lambda cfg, p: {
-        f"N={int(n)}": dataclasses.replace(p, block_length=int(n))
-        for n in cfg["n_values"]})),
-    "support_plot": ({"modes"}, _run_support_plot),
+    "ber_short": ({**_BER_TYPES, "n_values": list[int]}, _ber_runner(lambda cfg, p: {
+        f"N={n}": dataclasses.replace(p, block_length=n) for n in cfg["n_values"]})),
+    "support_plot": ({"modes": list[str]}, _run_support_plot),
 }
 
 
@@ -306,7 +321,7 @@ def run_preset(cfg: dict, out_dir: Path) -> Path:
             "config": {k: v for k, v in cfg.items() if not k.startswith("_")},
             "config_hash": config_hash(cfg),
             "library_version": __version__,
-            "seed": int(cfg["seed"]),
+            "seed": cfg["seed"],
             "wall_clock_s": round(time.time() - t0, 3),
             "payload": payload,
         }
@@ -406,43 +421,30 @@ def emit_plot_data(envelope: dict, out_dir: Path) -> list[Path]:
 # law/support parameter files
 # ---------------------------------------------------------------------------
 
-def _load_params_file(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"params file not found: {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
+# law-parameter files: the required arguments of the dataclass or function
+# each feeds
+_LAW_TYPES = {name: _key_types(target, optional=False) for name, target in (
+    ("mp", rmt.mp_stieltjes), ("onesided", rmt.OneSidedParams),
+    ("iid", rmt.stieltjes_iid_limit), ("double", rmt.DoubleSidedParams),
+    ("distinct", rmt.support_distinct))}
 
 
-def _take(d: dict, keys: set, where: str) -> dict:
-    unknown = set(d) - keys
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    missing = keys - set(d)
-    if missing:
-        raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
-    return d
+def _law_params(path: str, name: str) -> dict:
+    return _checked(_load_json_object(path, "params"), _LAW_TYPES[name], f"{name} params")
 
 
 def cmd_stieltjes(args) -> int:
-    d = _load_params_file(args.params)
     s = complex(args.s_re, args.s_im)
     if args.law == "mp":
-        g = rmt.mp_stieltjes(s, **_take(d, {"ratio"}, "mp params"))
+        g = rmt.mp_stieltjes(s, **_law_params(args.params, "mp"))
     elif args.law == "onesided":
         g = rmt.stieltjes_onesided(
-            s, rmt.OneSidedParams(**_take(d, {"scale", "inner_dim", "m", "n", "p"},
-                                          "onesided params")))
+            s, rmt.OneSidedParams(**_law_params(args.params, "onesided")))
     elif args.law == "iid":
-        g = rmt.stieltjes_iid_limit(s, **_take(d, {"p_s", "alpha", "gamma"},
-                                               "iid params"))
+        g = rmt.stieltjes_iid_limit(s, **_law_params(args.params, "iid"))
     elif args.law == "double":
         g = rmt.stieltjes_double_sided(
-            s, rmt.DoubleSidedParams(**_take(
-                d, {"num_users", "num_cells", "num_antennas", "block_length",
-                    "num_aoas", "p_signal", "p_interference"}, "double params")))
+            s, rmt.DoubleSidedParams(**_law_params(args.params, "double")))
     else:
         raise ConfigError(f"unknown law {args.law!r}")
     g = complex(g)
@@ -451,20 +453,14 @@ def cmd_stieltjes(args) -> int:
 
 
 def cmd_support(args) -> int:
-    d = _load_params_file(args.params)
+    report = None
     if args.mode == "onesided":
-        sup = rmt.support_onesided(rmt.OneSidedParams(
-            **_take(d, {"scale", "inner_dim", "m", "n", "p"}, "onesided params")))
-        report = None
+        sup = rmt.support_onesided(rmt.OneSidedParams(**_law_params(args.params, "onesided")))
     elif args.mode == "double":
-        sup, report = rmt.support_double_sided(rmt.DoubleSidedParams(
-            **_take(d, {"num_users", "num_cells", "num_antennas", "block_length",
-                        "num_aoas", "p_signal", "p_interference"}, "double params")))
+        sup, report = rmt.support_double_sided(
+            rmt.DoubleSidedParams(**_law_params(args.params, "double")))
     elif args.mode == "distinct":
-        sup = rmt.support_distinct(**_take(
-            d, {"num_users", "num_cells", "num_antennas", "block_length",
-                "num_aoas", "p_interference"}, "distinct params"))
-        report = None
+        sup = rmt.support_distinct(**_law_params(args.params, "distinct"))
     else:
         raise ConfigError(f"unknown mode {args.mode!r}")
     out = {"mode": args.mode, "intervals": _support_payload(sup)}
@@ -482,7 +478,7 @@ def cmd_run(args) -> int:
         key, _, val = item.partition("=")
         try:
             overrides[key] = json.loads(val)
-        except json.JSONDecodeError:
+        except ValueError:
             overrides[key] = val
     if args.seed is not None:
         overrides["seed"] = args.seed

@@ -274,7 +274,7 @@ def _trace_from_anchor(coeff_fn, s: complex) -> complex:
     return g
 
 
-def _eval_implicit(coeff_fn, s, g0=None):
+def _eval_implicit(coeff_fn, s):
     """Evaluate a polynomial-implicit law at scalar or array s.
 
     Array inputs are evaluated in order with warm starts between nearby
@@ -284,13 +284,7 @@ def _eval_implicit(coeff_fn, s, g0=None):
     """
     s_arr = np.asarray(s, dtype=complex)
     if s_arr.ndim == 0:
-        sc = complex(s_arr)
-        if g0 is not None:
-            try:
-                return _track_to(coeff_fn, sc, complex(g0), sc)
-            except BranchTrackingError:
-                pass
-        return _trace_from_anchor(coeff_fn, sc)
+        return _trace_from_anchor(coeff_fn, complex(s_arr))
     flat = s_arr.ravel()
     out = np.empty(flat.shape, dtype=complex)
     g_prev = None
@@ -420,22 +414,22 @@ def distinct_table(num_users: int, num_cells: int, num_antennas: int,
 # evaluators and residuals derived from the tables
 # ---------------------------------------------------------------------------
 
-def stieltjes_onesided(s, params: OneSidedParams, g0=None):
+def stieltjes_onesided(s, params: OneSidedParams):
     """Law of the n x n single-power product matrix (zero atom included)."""
     table = onesided_table(params)
-    return _eval_implicit(lambda sk: _forward(table, sk), s, g0=g0)
+    return _eval_implicit(lambda sk: _forward(table, sk), s)
 
 
 def onesided_residual(s: complex, g: complex, params: OneSidedParams) -> float:
     return _normalized_residual(_forward(onesided_table(params), complex(s)), complex(g))
 
 
-def stieltjes_iid_limit(s, p_s: float, alpha: float, gamma: float, g0=None):
+def stieltjes_iid_limit(s, p_s: float, alpha: float, gamma: float):
     """Rich-scattering limit of the one-sided law (cubic in G)."""
     if p_s <= 0 or alpha <= 0 or gamma <= 0:
         raise ConfigError("p_s, alpha, gamma must be positive")
     table = iid_table(p_s, alpha, gamma)
-    return _eval_implicit(lambda sk: _forward(table, sk), s, g0=g0)
+    return _eval_implicit(lambda sk: _forward(table, sk), s)
 
 
 def iid_limit_residual(s: complex, g: complex, p_s: float, alpha: float,
@@ -444,12 +438,12 @@ def iid_limit_residual(s: complex, g: complex, p_s: float, alpha: float,
                                 complex(g))
 
 
-def stieltjes_double_sided(s, params: DoubleSidedParams, g0=None):
+def stieltjes_double_sided(s, params: DoubleSidedParams):
     """Joint signal-plus-interference spectrum of the two-power product law;
     the K*L x K*L matrix has no zero atom.  The physical root of T^2 - Q is
     selected by continuation."""
     table = double_sided_table(params)
-    return _eval_implicit(lambda sk: _forward(table, sk), s, g0=g0)
+    return _eval_implicit(lambda sk: _forward(table, sk), s)
 
 
 def double_sided_residual(s: complex, g: complex, params: DoubleSidedParams) -> float:

@@ -136,13 +136,6 @@ class EigenExperimentResult:
     def pooled(self) -> np.ndarray:
         return np.concatenate(self.samples_per_trial)
 
-    def histogram(self, bins: int = 60):
-        """Normalized density histogram (integrates to one)."""
-        pooled = self.pooled()
-        density, edges = np.histogram(pooled, bins=bins, density=True)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return centers, density
-
 
 @dataclass
 class Block:
@@ -290,9 +283,8 @@ def _attach_supports(params: SystemParams, terms: str):
     # distinct AoAs
     counts = params.aoa_counts
     if want_sig:
-        try_attach("one_sided_signal", lambda: rmt.support_onesided(rmt.OneSidedParams(
-            scale=params.signal_power, inner_dim=k, m=params.num_antennas,
-            n=n, p=counts[0])))
+        try_attach("one_sided_signal",
+                   lambda: rmt.support_onesided(rmt.OneSidedParams.signal(params)))
     if want_int and len(set(counts[1:])) > 1:
         warnings.warn("could not attach distinct_interference support: interfering "
                       f"cells have unequal AoA counts {counts[1:]}", stacklevel=3)
@@ -363,13 +355,13 @@ class BerResult:
     seed: int
 
 
-def snr_db_to_signal_power(snr_db: float) -> float:
-    """Per-user SNR wired as p_signal = 10^(SNR/10) against unit noise."""
-    return 10.0 ** (snr_db / 10.0)
-
-
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
+
+
+def snr_db_to_signal_power(snr_db: float) -> float:
+    """Per-user SNR wired as p_signal = 10^(SNR/10) against unit noise."""
+    return db_to_linear(snr_db)
 
 
 def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple

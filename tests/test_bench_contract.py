@@ -69,3 +69,24 @@ def test_ber_workload_spans_record_calls(tmp_path):
     called = {span[0] for span in t.spans} | {n for n, c in t.counts.items() if c}
     missing = set(workloads.WORKLOADS["ber"].expected_spans) - called
     assert not missing
+
+
+CLI_OPS = [(name, op) for name, w in sorted(workloads.WORKLOADS.items())
+           for op in w.ops if op.is_cli]
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+@pytest.mark.parametrize("workload,op", CLI_OPS,
+                         ids=[f"{name}-{op.name}" for name, op in CLI_OPS])
+def test_workload_config_parses(workload, op, seed):
+    """A config check stricter than the benchmark's generated configs would
+    turn its operations into failed ones."""
+    cfg = cli.parse_config(dict(op.config, seed=seed))
+    assert cfg["seed"] == seed and cfg["kind"] == op.config["kind"]
+
+
+@pytest.mark.parametrize("scale", ["paper", "desk"])
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_preset_parses(preset, scale):
+    cfg = cli.load_config(preset, None, scale, {})
+    assert cfg["label"] == preset

@@ -298,6 +298,74 @@ def test_ber_short_honours_config_noise(tmp_path):
     assert got != PAYLOAD_PINS["ber_short"]["ber"]
 
 
+_DISTINCT_LAW = dict(num_users=5, num_cells=4, num_antennas=400, block_length=1000,
+                     num_aoas=200, p_interference=0.025)
+_DOUBLE_LAW = dict(num_users=5, num_cells=4, num_antennas=400, block_length=1000,
+                   num_aoas=200, p_signal=0.1, p_interference=0.025)
+
+# (offending key, argv builder, file contents): "run" cases write the file as
+# --config and append --set overrides; the rest pass it as --params. Each one
+# used to end in a traceback or run on a misread value.
+BAD_INPUTS = {
+    # --set overrides on a valid config
+    "set-int-string": ("num_antennas", ["--set", "num_antennas=abc"], PIN_CONFIGS["eigen"]),
+    "set-list-scalar": ("ratios_db", ["--set", "ratios_db=3"], PIN_CONFIGS["ber"]),
+    "set-db-string": ("signal_power_db", ["--set", "signal_power_db=abc"],
+                      PIN_CONFIGS["eigen"]),
+    "set-db-nan": ("signal_power_db", ["--set", "signal_power_db=NaN"], PIN_CONFIGS["eigen"]),
+    "set-trials-string": ("trials", ["--set", "trials=abc"], PIN_CONFIGS["eigen"]),
+    "set-counts-scalar": ("aoa_counts", ["--set", "aoa_counts=16"], PIN_CONFIGS["eigen"]),
+    "set-bits-string": ("bits_target", ["--set", "bits_target=abc"], PIN_CONFIGS["ber"]),
+    "set-snr-string": ("snr_db", ["--set", "snr_db=abc"], PIN_CONFIGS["ber"]),
+    "set-m-values-scalar": ("m_values", ["--set", "m_values=12"], PIN_CONFIGS["ber"]),
+    "set-n-values-scalar": ("n_values", ["--set", "n_values=8"], PIN_CONFIGS["ber_short"]),
+    "set-p4-values-scalar": ("p4_values", ["--set", "p4_values=2"],
+                             PIN_CONFIGS["ber_distinct"]),
+    "set-noise-string": ("noise_enabled", ["--set", 'noise_enabled="no"'],
+                         PIN_CONFIGS["eigen"]),
+    "set-int-fraction": ("num_antennas", ["--set", "num_antennas=32.7"],
+                         PIN_CONFIGS["eigen"]),
+    "set-n-values-fraction": ("n_values", ["--set", "n_values=[8.5]"],
+                              PIN_CONFIGS["ber_short"]),
+    # whole --config files
+    "config-missing-num-aoas": ("num_aoas", [], {k: v for k, v in PIN_CONFIGS["saturation"].items()
+                                                 if k != "num_aoas"}),
+    "config-p-values-scalar": ("p_values", [], dict(PIN_CONFIGS["ber_aoa"], p_values=4)),
+    "config-users-list": ("users_per_cell", [], dict(PIN_CONFIGS["eigen"], users_per_cell=[2])),
+    # law-parameter files
+    "support-double-power-string": ("p_signal", ["support", "--mode", "double"],
+                                    dict(_DOUBLE_LAW, p_signal="x")),
+    "support-distinct-fraction": ("num_aoas", ["support", "--mode", "distinct"],
+                                  dict(_DISTINCT_LAW, num_aoas=200.5)),
+    "stieltjes-onesided-string": ("scale", ["stieltjes", "--law", "onesided"],
+                                  dict(scale="x", inner_dim=5, m=400, n=1000, p=200)),
+    "stieltjes-iid-string": ("p_s", ["stieltjes", "--law", "iid"],
+                             dict(p_s="x", alpha=0.0125, gamma=0.005)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_line_config_error(case, tmp_path, capsys):
+    key, argv, contents = BAD_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(contents))
+    out = tmp_path / "out"
+    if argv[:1] in (["support"], ["stieltjes"]):
+        argv = argv + ["--params", str(path)]
+        if argv[0] == "stieltjes":
+            argv += ["--s-re", "0.05", "--s-im", "0.01"]
+    else:
+        argv = ["run", "--config", str(path), "--out", str(out)] + argv
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    err = captured.err.strip()
+    assert err.startswith("config error") and key in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists() and not captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json"]
+
+
 # a small eigen run (its Monte Carlo samples differ in the last digits with
 # the BLAS thread count unless the trials fix it) and a small BER run
 _THREAD_CONFIGS = {
