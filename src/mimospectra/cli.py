@@ -233,29 +233,24 @@ def _run_saturation(cfg: dict, params: SystemParams) -> dict:
     return {"saturation": {"physical": _eigen_payload(phys), "iid": _eigen_payload(iid)}}
 
 
+# support_plot mode -> the sim.law_support names it writes; the i.d. mode
+# leaves its interference law out of a run without interference
+_SUPPORT_MODES = {"onesided": ("one_sided_signal", "one_sided_interference"),
+                  "double": ("double_sided",), "iid": ("iid_signal", "iid_interference")}
+
+
 def _run_support_plot(cfg: dict, params: SystemParams) -> dict:
-    n = params.block_length
     out = {}
     for mode in cfg["modes"]:
-        if mode == "onesided":
-            sig = rmt.support_onesided(rmt.OneSidedParams.signal(params))
-            intf = rmt.support_onesided(rmt.OneSidedParams.interference(params))
-            out["onesided_signal"] = _support_payload(sig.scaled(n))
-            out["onesided_interference"] = _support_payload(intf.scaled(n))
-        elif mode == "double":
-            sup, rep = rmt.support_double_sided(rmt.DoubleSidedParams.from_system(params))
-            out["double_sided"] = _support_payload(sup.scaled(n))
-            out["truncation_flags"] = rep.flags
-        elif mode == "iid":
-            k, l, m = params.users_per_cell, params.num_cells, params.num_antennas
-            sig = rmt.support_iid(params.signal_power, k / m, k / n)
-            out["iid_signal"] = _support_payload(sig.scaled(n))
-            if l > 1 and params.interference_power > 0:
-                intf = rmt.support_iid(params.interference_power,
-                                       k * (l - 1) / m, k * (l - 1) / n)
-                out["iid_interference"] = _support_payload(intf.scaled(n))
-        else:
+        if mode not in _SUPPORT_MODES:
             raise ConfigError(f"unknown support mode {mode!r}")
+        for name in _SUPPORT_MODES[mode]:
+            if name == "iid_interference" and not sim.has_interference(params):
+                continue
+            sup, report = sim.law_support(params, name)
+            out[name.replace("one_sided", "onesided")] = _support_payload(sup)
+            if report is not None:
+                out["truncation_flags"] = report.flags
     return {"supports": out}
 
 
@@ -310,9 +305,9 @@ def config_hash(cfg: dict) -> str:
 
 def run_preset(cfg: dict, out_dir: Path) -> Path:
     """Run the configured experiment, write envelope + CSVs, return the
-    envelope path.  Partial outputs are removed on failure."""
+    envelope path.  The output directory is created only once the run has
+    succeeded; partial outputs are removed on failure."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     t0 = time.time()
     try:
@@ -325,6 +320,7 @@ def run_preset(cfg: dict, out_dir: Path) -> Path:
             "wall_clock_s": round(time.time() - t0, 3),
             "payload": payload,
         }
+        out_dir.mkdir(parents=True, exist_ok=True)
         env_path = out_dir / f"{cfg['label']}_result.json"
         env_path.write_text(json.dumps(envelope, indent=1, sort_keys=True))
         written.append(env_path)

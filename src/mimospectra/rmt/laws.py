@@ -352,6 +352,8 @@ def onesided_table(p: OneSidedParams) -> np.ndarray:
 def iid_table(p_s: float, alpha: float, gamma: float) -> np.ndarray:
     """Rich-scattering limit of the one-power law, with v = sG:
     gamma (1 + v) - p_s G (1 - gamma + v)(alpha - gamma + alpha v)."""
+    if p_s <= 0 or alpha <= 0 or gamma <= 0:
+        raise ConfigError("p_s, alpha, gamma must be positive")
     return _table(gamma * np.ones(2),
                   -p_s * npp.polymul([1.0 - gamma, 1.0], [alpha - gamma, alpha]))
 
@@ -426,8 +428,6 @@ def onesided_residual(s: complex, g: complex, params: OneSidedParams) -> float:
 
 def stieltjes_iid_limit(s, p_s: float, alpha: float, gamma: float):
     """Rich-scattering limit of the one-sided law (cubic in G)."""
-    if p_s <= 0 or alpha <= 0 or gamma <= 0:
-        raise ConfigError("p_s, alpha, gamma must be positive")
     table = iid_table(p_s, alpha, gamma)
     return _eval_implicit(lambda sk: _forward(table, sk), s)
 

@@ -304,8 +304,6 @@ def onesided_inverse_coeffs(p: OneSidedParams) -> np.ndarray:
 def support_onesided(params: OneSidedParams,
                      grid: SupportGrid = SupportGrid()) -> SpectralSupport:
     """Support of the nonzero one-power bulk (the law without its zero atom)."""
-    if params.scale <= 0:
-        raise ConfigError("scale must be positive")
     return scan_support(onesided_inverse_coeffs(params), grid, label="one-sided")
 
 
@@ -357,6 +355,4 @@ def iid_inverse_coeffs(p_s: float, alpha: float, gamma: float) -> np.ndarray:
 def support_iid(p_s: float, alpha: float, gamma: float,
                 grid: SupportGrid = SupportGrid()) -> SpectralSupport:
     """Bulk support of the rich-scattering one-power law (zero atom kept)."""
-    if p_s <= 0 or alpha <= 0 or gamma <= 0:
-        raise ConfigError("p_s, alpha, gamma must be positive")
     return scan_support(iid_inverse_coeffs(p_s, alpha, gamma), grid, label="iid")

@@ -234,63 +234,70 @@ def _term_columns(params: SystemParams, terms: str) -> tuple[int, int]:
     raise ConfigError(f"unknown terms selector {terms!r}")
 
 
+# scenario -> its (signal, interference, joint) law names for law_support
+_OVERLAYS = {
+    "iid": ("iid_signal", "iid_interference", None),
+    "identical_aoas": ("one_sided_signal", "one_sided_interference", "double_sided"),
+    "distinct_aoas": ("one_sided_signal", "distinct_interference", None),
+}
+
+
+def has_interference(params: SystemParams) -> bool:
+    """True when some other cell interferes with nonzero power."""
+    return params.num_cells > 1 and params.interference_power > 0
+
+
+def law_support(params: SystemParams, name: str
+                ) -> tuple[rmt.SpectralSupport, rmt.TruncationReport | None]:
+    """Support of one analytic law for a run, in the Y Y^H / M normalization
+    (N-scaled), and the truncation report (None except for ``double_sided``).
+
+    The signal laws take the served cell's K users at p_signal, the
+    interference laws the other cells' K (L - 1) users at p_interference.
+    """
+    k, l, m, n = (params.users_per_cell, params.num_cells, params.num_antennas,
+                  params.block_length)
+    report = None
+    if name in ("iid_signal", "iid_interference"):
+        users, power = ((k, params.signal_power) if name == "iid_signal"
+                        else (k * (l - 1), params.interference_power))
+        sup = rmt.support_iid(power, users / m, users / n)
+    elif name in ("one_sided_signal", "one_sided_interference"):
+        role = name.removeprefix("one_sided_")
+        sup = rmt.support_onesided(getattr(rmt.OneSidedParams, role)(params))
+    elif name == "double_sided":
+        sup, report = rmt.support_double_sided(rmt.DoubleSidedParams.from_system(params))
+    elif name == "distinct_interference":
+        counts = params.aoa_counts[1:]
+        if len(set(counts)) > 1:
+            raise ConfigError(f"interfering cells have unequal AoA counts {counts}")
+        sup = rmt.support_distinct(k, l, m, n, counts[0], params.interference_power)
+    else:
+        raise ConfigError(f"unknown law {name!r}")
+    return sup.scaled(n), report
+
+
 def _attach_supports(params: SystemParams, terms: str):
-    """Analytic supports in the Y Y^H / M normalization (N-scaled)."""
-    n = params.block_length
-    k, l = params.users_per_cell, params.num_cells
+    """The scenario's analytic supports for the selected terms; a law that
+    cannot be built is skipped with a warning."""
     supports: dict[str, rmt.SpectralSupport] = {}
     truncation = None
-    want_sig = terms in ("all", "signal")
-    want_int = terms in ("all", "interference") and l > 1 and params.interference_power > 0
-
-    def try_attach(name, fn):
-        try:
-            supports[name] = fn().scaled(n)
-        except ConfigError as exc:
-            warnings.warn(f"could not attach {name} support: {exc}", stacklevel=3)
-
     if params.noise_enabled:
         warnings.warn("could not attach supports: noise enabled, and the laws "
                       "describe noiseless blocks", stacklevel=3)
         return supports, truncation
-
-    if params.scenario == "iid":
-        if want_sig:
-            try_attach("iid_signal", lambda: rmt.support_iid(
-                params.signal_power, k / params.num_antennas, k / n))
-        if want_int:
-            try_attach("iid_interference", lambda: rmt.support_iid(
-                params.interference_power, k * (l - 1) / params.num_antennas,
-                k * (l - 1) / n))
-        return supports, truncation
-
-    if params.scenario == "identical_aoas":
-        if want_sig:
-            try_attach("one_sided_signal",
-                       lambda: rmt.support_onesided(rmt.OneSidedParams.signal(params)))
-        if want_int:
-            try_attach("one_sided_interference",
-                       lambda: rmt.support_onesided(rmt.OneSidedParams.interference(params)))
-        if terms == "all" and l > 1 and params.interference_power > 0:
-            def double():
-                nonlocal truncation
-                sup, truncation = rmt.support_double_sided(
-                    rmt.DoubleSidedParams.from_system(params))
-                return sup
-            try_attach("double_sided", double)
-        return supports, truncation
-
-    # distinct AoAs
-    counts = params.aoa_counts
-    if want_sig:
-        try_attach("one_sided_signal",
-                   lambda: rmt.support_onesided(rmt.OneSidedParams.signal(params)))
-    if want_int and len(set(counts[1:])) > 1:
-        warnings.warn("could not attach distinct_interference support: interfering "
-                      f"cells have unequal AoA counts {counts[1:]}", stacklevel=3)
-    elif want_int:
-        try_attach("distinct_interference", lambda: rmt.support_distinct(
-            k, l, params.num_antennas, n, counts[1], params.interference_power))
+    sig, intf, joint = _OVERLAYS[params.scenario]
+    names = {"all": (sig, intf, joint), "signal": (sig,), "interference": (intf,)}[terms]
+    for name in names:
+        # the interference and joint laws need an interfering cell with power
+        if name is None or name != sig and not has_interference(params):
+            continue
+        try:
+            supports[name], report = law_support(params, name)
+        except ConfigError as exc:
+            warnings.warn(f"could not attach {name} support: {exc}", stacklevel=3)
+        else:
+            truncation = report or truncation
     return supports, truncation
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,30 @@ class TestMainEntry:
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+@pytest.mark.parametrize("preset,override", [("fig1", 'modes=["bogus"]'),
+                                             ("fig3", 'terms="bogus"')])
+def test_runner_config_error_creates_no_directory(preset, override, existing, tmp_path,
+                                                  capsys):
+    """A config error that only the runner sees leaves the output path as
+    it found it."""
+    out = tmp_path / "a" / "out"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "keep.txt").write_text("kept")
+    rc = cli.main(["run", "--preset", preset, "--scale", "desk", "--set", override,
+                   "--out", str(out)])
+    err = capsys.readouterr().err.strip()
+    assert rc == 2
+    assert err.startswith("config error") and "bogus" in err
+    assert len(err.splitlines()) == 1
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept"
+    else:
+        assert not (tmp_path / "a").exists()
+
+
 # one tiny config per kind; payload_pins.json holds the payloads recorded
 # for them, so a refactor that moves any output value fails here
 _PIN_BER = dict(num_antennas=16, users_per_cell=2, num_cells=2, block_length=24,
@@ -283,6 +308,60 @@ def test_payload_pinned_per_kind(kind, tmp_path):
     assert set(PIN_CONFIGS) == set(cli.KINDS)
     _assert_payload_matches(_run_payload(PIN_CONFIGS[kind], tmp_path),
                             PAYLOAD_PINS[kind])
+
+
+# the analytic overlays of each scenario, term selector and support_plot mode;
+# overlay_pins.json holds each case's payload, the order of the law column of
+# its supports CSV (the envelope's keys are sorted, so only the CSV shows it)
+# and its "could not attach" warnings
+_PIN_EIGEN = dict(_PIN_SPECTRA, kind="eigen", trials=2)
+_PIN_NO_DB = {k: v for k, v in _PIN_SPECTRA.items() if k != "interference_power_db"}
+OVERLAY_PIN_CONFIGS = {
+    "eigen-iid": dict(_PIN_EIGEN, scenario="iid", aoa_counts=[]),
+    "eigen-distinct-equal": dict(_PIN_EIGEN, scenario="distinct_aoas", num_cells=3,
+                                 aoa_counts=[16, 12, 12]),
+    "eigen-distinct-unequal": dict(_PIN_EIGEN, scenario="distinct_aoas", num_cells=3,
+                                   aoa_counts=[16, 16, 10]),
+    "eigen-terms-signal": dict(_PIN_EIGEN, terms="signal"),
+    "eigen-terms-interference": dict(_PIN_EIGEN, terms="interference"),
+    "eigen-one-cell": dict(_PIN_EIGEN, num_cells=1),
+    "eigen-noise": dict(_PIN_EIGEN, noise_enabled=True),
+    "support_plot-iid-double-onesided": dict(_PIN_SPECTRA, kind="support_plot",
+                                             modes=["iid", "double", "onesided"]),
+    "support_plot-no-interference": dict(_PIN_NO_DB, kind="support_plot",
+                                         interference_power=0.0, modes=["iid"]),
+}
+OVERLAY_PINS = json.loads((Path(__file__).parent / "overlay_pins.json").read_text())
+
+
+def _overlay_run(raw: dict, tmp_path) -> dict:
+    """Payload, supports-CSV law order and overlay warnings of one run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        payload = _run_payload(raw, tmp_path)
+    csv = tmp_path / "pin_supports.csv"
+    rows = csv.read_text().splitlines()[2:] if csv.exists() else []
+    return {"payload": payload,
+            "law_order": list(dict.fromkeys(row.split(",")[0] for row in rows)),
+            "warnings": [str(w.message) for w in caught
+                         if "could not attach" in str(w.message)]}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAY_PIN_CONFIGS))
+def test_overlays_pinned(case, tmp_path):
+    got, want = _overlay_run(OVERLAY_PIN_CONFIGS[case], tmp_path), OVERLAY_PINS[case]
+    _assert_payload_matches(got["payload"], want["payload"])
+    assert got["law_order"] == want["law_order"]
+    assert got["warnings"] == want["warnings"]
+
+
+def test_support_plot_intervals_equal_eigen_overlays(tmp_path):
+    eigen = _run_payload(_PIN_EIGEN, tmp_path / "eigen")["eigen"]["supports"]
+    plot = _run_payload(dict(_PIN_SPECTRA, kind="support_plot",
+                             modes=["onesided", "double"]), tmp_path / "plot")["supports"]
+    assert plot["onesided_signal"] == eigen["one_sided_signal"]
+    assert plot["onesided_interference"] == eigen["one_sided_interference"]
+    assert plot["double_sided"] == eigen["double_sided"]
 
 
 def test_ber_short_honours_config_noise(tmp_path):

@@ -356,12 +356,21 @@ class TestLawBattery:
 
 class TestMpResolventBattery:
     def test_average_over_20_trials(self):
+        # X X^H / m for a 2000 x 4000 complex Gaussian X, drawn through the
+        # beta = 2 bidiagonal Laguerre model (Dumitriu & Edelman, J. Math.
+        # Phys. 2002): X X^H has the spectrum of B B^T for an n x n lower
+        # bidiagonal B with diagonal sqrt(chi2_{2(m-i)} / 2), i = 0..n-1,
+        # and subdiagonal sqrt(chi2_{2(n-i)} / 2), i = 1..n-1
+        from scipy.linalg import eigvalsh_tridiagonal
+        n, m = 2000, 4000
         rng = np.random.default_rng(9)
         s = 1.2 + 0.1j
         vals = []
         for _ in range(20):
-            x = crandn(rng, 2000, 4000)
-            lam = np.linalg.eigvalsh(x @ x.conj().T / 4000)
+            diag = rng.chisquare(2 * np.arange(m, m - n, -1)) / 2
+            sub = rng.chisquare(2 * np.arange(n - 1, 0, -1)) / 2
+            lam = eigvalsh_tridiagonal(diag + np.r_[0.0, sub],
+                                       np.sqrt(diag[:-1] * sub)) / m
             vals.append(np.mean(1.0 / (lam - s)))
         mc = np.mean(vals)
         assert abs(rmt.mp_stieltjes(s, 0.5) - mc) / abs(mc) < 0.03
@@ -492,6 +501,15 @@ class TestErrorContracts:
         with pytest.raises(BranchTrackingError) as err:
             _track_to(coeff_fn, 1j, 0.0 + 0.0j, 2j)
         assert len(err.value.roots) == 2
+
+    @pytest.mark.parametrize("call", [
+        lambda: rmt.iid_limit_residual(0.1 + 0.01j, 1 + 1j, -1.0, 0.01, 0.005),
+        lambda: rmt.stieltjes_iid_limit(0.1 + 0.01j, 0.1, 0.0, 0.005),
+        lambda: rmt.support_iid(0.1, 0.01, -0.005),
+    ], ids=["residual", "stieltjes", "support"])
+    def test_iid_law_refuses_nonpositive_inputs(self, call):
+        with pytest.raises(ConfigError, match="p_s, alpha, gamma must be positive"):
+            call()
 
     def test_lower_half_plane_rejected_for_implicit_laws(self):
         with pytest.raises(ConfigError):
