@@ -208,12 +208,10 @@ def _eigen_payload(result: sim.EigenExperimentResult) -> dict:
         "supports": {name: _support_payload(sup)
                      for name, sup in result.supports.items()},
     }
-    if result.truncation is not None:
-        payload["truncation"] = {
-            "ratio_triple": result.truncation.ratio_triple,
-            "ratio_pairwise": result.truncation.ratio_pairwise,
-            "flags": result.truncation.flags,
-        }
+    for sup in result.supports.values():
+        if sup.truncation is not None:
+            payload["truncation"] = {**dataclasses.asdict(sup.truncation),
+                                     "flags": sup.truncation.flags}
     return payload
 
 
@@ -247,10 +245,10 @@ def _run_support_plot(cfg: dict, params: SystemParams) -> dict:
         for name in _SUPPORT_MODES[mode]:
             if name == "iid_interference" and not sim.has_interference(params):
                 continue
-            sup, report = sim.law_support(params, name)
+            sup = sim.law_support(params, name)
             out[name.replace("one_sided", "onesided")] = _support_payload(sup)
-            if report is not None:
-                out["truncation_flags"] = report.flags
+            if sup.truncation is not None:
+                out["truncation_flags"] = sup.truncation.flags
     return {"supports": out}
 
 
@@ -289,7 +287,7 @@ KINDS = {
     "ber_distinct": ({**_BER_TYPES, "p4_values": list[int]}, _ber_runner(lambda cfg, p: {
         f"P4={p4}": q for p4, q in sim.distinct_aoa_variants(p, cfg["p4_values"]).items()})),
     "ber_short": ({**_BER_TYPES, "n_values": list[int]}, _ber_runner(lambda cfg, p: {
-        f"N={n}": dataclasses.replace(p, block_length=n) for n in cfg["n_values"]})),
+        f"N={n}": q for n, q in sim.short_coherence_variants(p, cfg["n_values"]).items()})),
     "support_plot": ({"modes": list[str]}, _run_support_plot),
 }
 
@@ -417,51 +415,43 @@ def emit_plot_data(envelope: dict, out_dir: Path) -> list[Path]:
 # law/support parameter files
 # ---------------------------------------------------------------------------
 
-# law-parameter files: the required arguments of the dataclass or function
-# each feeds
-_LAW_TYPES = {name: _key_types(target, optional=False) for name, target in (
-    ("mp", rmt.mp_stieltjes), ("onesided", rmt.OneSidedParams),
-    ("iid", rmt.stieltjes_iid_limit), ("double", rmt.DoubleSidedParams),
-    ("distinct", rmt.support_distinct))}
+# law -> (rmt parameter class, or None for a file of keyword arguments; its
+# evaluator; its support scan), as rmt names looked up at each call
+_LAWS = {
+    "mp": (None, "mp_stieltjes", None),
+    "onesided": ("OneSidedParams", "stieltjes_onesided", "support_onesided"),
+    "iid": (None, "stieltjes_iid_limit", None),
+    "double": ("DoubleSidedParams", "stieltjes_double_sided", "support_double_sided"),
+    "distinct": (None, None, "support_distinct"),
+}
+# law-parameter files: the required arguments of the class or function each feeds
+_LAW_TYPES = {law: _key_types(getattr(rmt, cls or evaluator or scan), optional=False)
+              for law, (cls, evaluator, scan) in _LAWS.items()}
 
 
-def _law_params(path: str, name: str) -> dict:
-    return _checked(_load_json_object(path, "params"), _LAW_TYPES[name], f"{name} params")
+def _call_law(law: str, role: int, path: str, *lead):
+    """Call the law's evaluator (role 1) or support scan (role 2) with
+    ``lead`` and the checked contents of the params file at ``path``."""
+    cls, fn = _LAWS[law][0], getattr(rmt, _LAWS[law][role])
+    kwargs = _checked(_load_json_object(path, "params"), _LAW_TYPES[law], f"{law} params")
+    return fn(*lead, getattr(rmt, cls)(**kwargs)) if cls else fn(*lead, **kwargs)
 
 
 def cmd_stieltjes(args) -> int:
+    for flag, val in (("--s-re", args.s_re), ("--s-im", args.s_im)):
+        if not math.isfinite(val):
+            raise ConfigError(f"{flag}={val!r}; expected a finite number")
     s = complex(args.s_re, args.s_im)
-    if args.law == "mp":
-        g = rmt.mp_stieltjes(s, **_law_params(args.params, "mp"))
-    elif args.law == "onesided":
-        g = rmt.stieltjes_onesided(
-            s, rmt.OneSidedParams(**_law_params(args.params, "onesided")))
-    elif args.law == "iid":
-        g = rmt.stieltjes_iid_limit(s, **_law_params(args.params, "iid"))
-    elif args.law == "double":
-        g = rmt.stieltjes_double_sided(
-            s, rmt.DoubleSidedParams(**_law_params(args.params, "double")))
-    else:
-        raise ConfigError(f"unknown law {args.law!r}")
-    g = complex(g)
+    g = complex(_call_law(args.law, 1, args.params, s))
     print(json.dumps({"law": args.law, "s": [s.real, s.imag], "G": [g.real, g.imag]}))
     return 0
 
 
 def cmd_support(args) -> int:
-    report = None
-    if args.mode == "onesided":
-        sup = rmt.support_onesided(rmt.OneSidedParams(**_law_params(args.params, "onesided")))
-    elif args.mode == "double":
-        sup, report = rmt.support_double_sided(
-            rmt.DoubleSidedParams(**_law_params(args.params, "double")))
-    elif args.mode == "distinct":
-        sup = rmt.support_distinct(**_law_params(args.params, "distinct"))
-    else:
-        raise ConfigError(f"unknown mode {args.mode!r}")
+    sup = _call_law(args.mode, 2, args.params)
     out = {"mode": args.mode, "intervals": _support_payload(sup)}
-    if report is not None:
-        out["truncation_flags"] = report.flags
+    if sup.truncation is not None:
+        out["truncation_flags"] = sup.truncation.flags
     print(json.dumps(out))
     return 0
 
@@ -503,13 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sup = sub.add_parser("support", help="support-boundary solver")
     p_sup.add_argument("--mode", required=True,
-                       choices=("onesided", "double", "distinct"))
+                       choices=[law for law, fns in _LAWS.items() if fns[2]])
     p_sup.add_argument("--params", required=True, help="JSON params file")
     p_sup.set_defaults(func=cmd_support)
 
     p_st = sub.add_parser("stieltjes", help="evaluate one law at one point")
     p_st.add_argument("--law", required=True,
-                      choices=("mp", "onesided", "iid", "double"))
+                      choices=[law for law, fns in _LAWS.items() if fns[1]])
     p_st.add_argument("--s-re", type=float, required=True, dest="s_re")
     p_st.add_argument("--s-im", type=float, required=True, dest="s_im")
     p_st.add_argument("--params", required=True, help="JSON params file")

@@ -256,6 +256,8 @@ def _trace_from_anchor(coeff_fn, s: complex) -> complex:
     """Anchor at Im = 1e6 (where G = -1/s) and descend vertically to s; the
     roots along the whole path come from one stacked solve."""
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ConfigError(f"law evaluation requires a finite s, got s={s}")
     if s.imag <= 0:
         raise ConfigError("law evaluation requires Im s > 0")
     top = max(ANCHOR_IM, 2.0 * s.imag)

@@ -30,29 +30,35 @@ from .laws import (DoubleSidedParams, OneSidedParams, companion_roots, distinct_
                    double_sided_table, iid_table, onesided_table)
 
 
+# every scan's signed log grid: POINTS // 2 points on each of +-[X_MIN, X_MAX]
+X_MIN, X_MAX, POINTS = 1e-6, 1e3, 10_000
+
+
 @dataclass(frozen=True)
-class SupportGrid:
-    """Signed log grid: x in [-x_max, -x_min] union [x_min, x_max]."""
+class TruncationReport:
+    """Validity diagnostics for the truncated double-sided inverse function.
 
-    x_min: float = 1e-6
-    x_max: float = 1e3
-    points: int = 10_000
+    The cubic and quadratic terms in upsilon were dropped assuming both
+    ratios are >> 1; either below 10 flags the approximation as suspect.
+    """
 
-    def __post_init__(self):
-        if not 0 < self.x_min < self.x_max:
-            raise ConfigError("need 0 < x_min < x_max")
-        if self.points < 16:
-            raise ConfigError("grid too coarse")
+    ratio_triple: float      # (alpha+eta+gamma) / (alpha*eta*gamma)
+    ratio_pairwise: float    # (alpha+eta+gamma) / (alpha*gamma+alpha*eta+eta*gamma)
 
-    def positive_side(self) -> np.ndarray:
-        return np.geomspace(self.x_min, self.x_max, self.points // 2)
+    @property
+    def flags(self) -> list[str]:
+        return [f"{name} ratio {r:.3g} < 10.0" for name, r in (
+            ("triple-product", self.ratio_triple), ("pairwise", self.ratio_pairwise))
+            if r < 10.0]
 
 
 @dataclass
 class SpectralSupport:
-    """Ordered disjoint intervals approximating the positive bulk support."""
+    """Ordered disjoint intervals approximating the positive bulk support,
+    and the truncation report of the law they came from (double-sided only)."""
 
     intervals: list[tuple[float, float]]
+    truncation: TruncationReport | None = None
 
     def __post_init__(self):
         for lo, hi in self.intervals:
@@ -63,7 +69,8 @@ class SpectralSupport:
                 raise ConfigError("intervals must be disjoint and sorted")
 
     def scaled(self, factor: float) -> "SpectralSupport":
-        return SpectralSupport([(lo * factor, hi * factor) for lo, hi in self.intervals])
+        return SpectralSupport([(lo * factor, hi * factor) for lo, hi in self.intervals],
+                               self.truncation)
 
     def contains(self, x, slack: float = 0.0) -> np.ndarray:
         """Membership mask with endpoint-relative dilation ``slack``."""
@@ -77,32 +84,6 @@ class SpectralSupport:
     def gap_widths(self) -> list[float]:
         return [b0 - a1 for (a0, a1), (b0, b1) in zip(self.intervals[:-1],
                                                       self.intervals[1:])]
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Validity diagnostics for the truncated double-sided inverse function.
-
-    The cubic and quadratic terms in upsilon were dropped assuming both
-    ratios are >> 1; either below 10 flags the approximation as suspect.
-    """
-
-    ratio_triple: float      # (alpha+eta+gamma) / (alpha*eta*gamma)
-    ratio_pairwise: float    # (alpha+eta+gamma) / (alpha*gamma+alpha*eta+eta*gamma)
-    threshold: float = 10.0
-
-    @property
-    def flags(self) -> list[str]:
-        out = []
-        if self.ratio_triple < self.threshold:
-            out.append(f"triple-product ratio {self.ratio_triple:.3g} < {self.threshold}")
-        if self.ratio_pairwise < self.threshold:
-            out.append(f"pairwise ratio {self.ratio_pairwise:.3g} < {self.threshold}")
-        return out
-
-    @property
-    def suspect(self) -> bool:
-        return bool(self.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +195,7 @@ def _merge_gaps(gaps: list[tuple[float, float]], tol: float) -> list[list[float]
     return merged
 
 
-def scan_support(table: np.ndarray, grid: SupportGrid,
-                 label: str = "law") -> SpectralSupport:
+def scan_support(table: np.ndarray, label: str = "law") -> SpectralSupport:
     """Run the inverse-function scan and assemble support intervals.
 
     ``table[a, b]`` is the coefficient of s^a x^b in the inverse-function
@@ -224,7 +204,7 @@ def scan_support(table: np.ndarray, grid: SupportGrid,
     powers = np.arange(table.shape[1])[:, None]
     poles = companion_roots(table[-1, ::-1, None])[0]
     poles = poles[np.abs(poles.imag) <= 1e-7 * np.maximum(1.0, np.abs(poles))].real
-    xs_pos = grid.positive_side()
+    xs_pos = np.geomspace(X_MIN, X_MAX, POINTS // 2)
     gaps: list[tuple[float, float]] = []
     outer_cut_values: list[float] = []
     for side in (xs_pos, -xs_pos[::-1]):
@@ -233,17 +213,17 @@ def scan_support(table: np.ndarray, grid: SupportGrid,
                 for lo, hi, cut_xs, cut_values in _runs_of_branch(seg, branch):
                     gaps.append((lo, hi))
                     for cx, cv in zip(cut_xs, cut_values):
-                        # cuts at |x| = x_max mean an extremum may lie beyond
-                        # the grid; cuts at x_min / pole splits are the
+                        # cuts at |x| = X_MAX mean an extremum may lie beyond
+                        # the grid; cuts at X_MIN / pole splits are the
                         # expected asymptotes
-                        if abs(abs(cx) - grid.x_max) <= 1e-9 * grid.x_max:
+                        if abs(abs(cx) - X_MAX) <= 1e-9 * X_MAX:
                             outer_cut_values.append(cv)
     if not gaps:
         raise ConfigError(f"{label}: no real increasing branch found on the grid; "
                           "support cannot be identified")
-    # s-range the grid can resolve: beyond ~1/x_min the branches are pure
+    # s-range the grid can resolve: beyond ~1/X_MIN the branches are pure
     # -1/x asymptotes (or parasite algebraic components), not bulk structure
-    s_cap = 0.5 / grid.x_min
+    s_cap = 0.5 / X_MIN
     resolvable = [abs(v) for g in gaps for v in g if 0 < abs(v) < s_cap]
     scale = max(resolvable) if resolvable else max(abs(hi) for _, hi in gaps)
     merged = _merge_gaps(gaps, tol=1e-6 * scale)
@@ -256,8 +236,8 @@ def scan_support(table: np.ndarray, grid: SupportGrid,
             support.append((a1, b0))
     support = [(lo, hi) for lo, hi in support if hi > 0 and lo < s_cap]
     support = [(lo, hi) for lo, hi in support if hi > 0.02 * scale]
-    # the zero-atom asymptote legitimately reaches |x| = x_max at
-    # |s| ~ mass/x_max << scale; only order-scale cut values are suspicious
+    # the zero-atom asymptote legitimately reaches |x| = X_MAX at
+    # |s| ~ mass/X_MAX << scale; only order-scale cut values are suspicious
     unresolved = [v for v in outer_cut_values if abs(v) > 0.1 * scale]
     if unresolved:
         warnings.warn(
@@ -301,20 +281,17 @@ def onesided_inverse_coeffs(p: OneSidedParams) -> np.ndarray:
     return _atom_mapped(onesided_table(p), p.gamma)
 
 
-def support_onesided(params: OneSidedParams,
-                     grid: SupportGrid = SupportGrid()) -> SpectralSupport:
+def support_onesided(params: OneSidedParams) -> SpectralSupport:
     """Support of the nonzero one-power bulk (the law without its zero atom)."""
-    return scan_support(onesided_inverse_coeffs(params), grid, label="one-sided")
+    return scan_support(onesided_inverse_coeffs(params), label="one-sided")
 
 
 def double_inverse_coeffs(p: DoubleSidedParams) -> np.ndarray:
     return double_sided_table(p, truncated=True)
 
 
-def support_double_sided(params: DoubleSidedParams,
-                         grid: SupportGrid = SupportGrid()
-                         ) -> tuple[SpectralSupport, TruncationReport]:
-    """Support of the joint two-power law plus truncation diagnostics.
+def support_double_sided(params: DoubleSidedParams) -> SpectralSupport:
+    """Support of the joint two-power law, with its truncation diagnostics.
 
     The scan uses the law truncated to its linear upsilon term; the radical
     is removed by squaring, and both roots in s are genuine inverse branches
@@ -322,12 +299,10 @@ def support_double_sided(params: DoubleSidedParams,
     small-ratio limit), so no sign filtering applies.
     """
     al, et, ga = params.alpha, params.eta, params.gamma
-    report = TruncationReport(
-        ratio_triple=(al + et + ga) / (al * et * ga),
-        ratio_pairwise=(al + et + ga) / (al * ga + al * et + et * ga),
-    )
-    support = scan_support(double_inverse_coeffs(params), grid, label="double-sided")
-    return support, report
+    support = scan_support(double_inverse_coeffs(params), "double-sided")
+    support.truncation = TruncationReport((al + et + ga) / (al * et * ga),
+                                          (al + et + ga) / (al * ga + al * et + et * ga))
+    return support
 
 
 def distinct_inverse_coeffs(*args) -> np.ndarray:
@@ -335,8 +310,8 @@ def distinct_inverse_coeffs(*args) -> np.ndarray:
 
 
 def support_distinct(num_users: int, num_cells: int, num_antennas: int,
-                     block_length: int, num_aoas: int, p_interference: float,
-                     grid: SupportGrid = SupportGrid()) -> SpectralSupport:
+                     block_length: int, num_aoas: int, p_interference: float
+                     ) -> SpectralSupport:
     """Interference-bulk support for equal per-cell AoA counts."""
     if p_interference <= 0:
         raise ConfigError("p_interference must be positive")
@@ -345,14 +320,13 @@ def support_distinct(num_users: int, num_cells: int, num_antennas: int,
     return scan_support(
         distinct_inverse_coeffs(num_users, num_cells, num_antennas, block_length,
                                 num_aoas, p_interference),
-        grid, label="distinct-AoA")
+        label="distinct-AoA")
 
 
 def iid_inverse_coeffs(p_s: float, alpha: float, gamma: float) -> np.ndarray:
     return iid_table(p_s, alpha, gamma)
 
 
-def support_iid(p_s: float, alpha: float, gamma: float,
-                grid: SupportGrid = SupportGrid()) -> SpectralSupport:
+def support_iid(p_s: float, alpha: float, gamma: float) -> SpectralSupport:
     """Bulk support of the rich-scattering one-power law (zero atom kept)."""
-    return scan_support(iid_inverse_coeffs(p_s, alpha, gamma), grid, label="iid")
+    return scan_support(iid_inverse_coeffs(p_s, alpha, gamma), label="iid")

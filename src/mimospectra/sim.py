@@ -131,7 +131,6 @@ class EigenExperimentResult:
     terms: str
     samples_per_trial: list[np.ndarray]
     supports: dict[str, rmt.SpectralSupport] = field(default_factory=dict)
-    truncation: rmt.TruncationReport | None = None
 
     def pooled(self) -> np.ndarray:
         return np.concatenate(self.samples_per_trial)
@@ -247,17 +246,14 @@ def has_interference(params: SystemParams) -> bool:
     return params.num_cells > 1 and params.interference_power > 0
 
 
-def law_support(params: SystemParams, name: str
-                ) -> tuple[rmt.SpectralSupport, rmt.TruncationReport | None]:
-    """Support of one analytic law for a run, in the Y Y^H / M normalization
-    (N-scaled), and the truncation report (None except for ``double_sided``).
+def law_support(params: SystemParams, name: str) -> rmt.SpectralSupport:
+    """Support of one analytic law for a run, N-scaled to Y Y^H / M.
 
     The signal laws take the served cell's K users at p_signal, the
     interference laws the other cells' K (L - 1) users at p_interference.
     """
     k, l, m, n = (params.users_per_cell, params.num_cells, params.num_antennas,
                   params.block_length)
-    report = None
     if name in ("iid_signal", "iid_interference"):
         users, power = ((k, params.signal_power) if name == "iid_signal"
                         else (k * (l - 1), params.interference_power))
@@ -266,7 +262,7 @@ def law_support(params: SystemParams, name: str
         role = name.removeprefix("one_sided_")
         sup = rmt.support_onesided(getattr(rmt.OneSidedParams, role)(params))
     elif name == "double_sided":
-        sup, report = rmt.support_double_sided(rmt.DoubleSidedParams.from_system(params))
+        sup = rmt.support_double_sided(rmt.DoubleSidedParams.from_system(params))
     elif name == "distinct_interference":
         counts = params.aoa_counts[1:]
         if len(set(counts)) > 1:
@@ -274,18 +270,17 @@ def law_support(params: SystemParams, name: str
         sup = rmt.support_distinct(k, l, m, n, counts[0], params.interference_power)
     else:
         raise ConfigError(f"unknown law {name!r}")
-    return sup.scaled(n), report
+    return sup.scaled(n)
 
 
-def _attach_supports(params: SystemParams, terms: str):
+def _attach_supports(params: SystemParams, terms: str) -> dict[str, rmt.SpectralSupport]:
     """The scenario's analytic supports for the selected terms; a law that
     cannot be built is skipped with a warning."""
     supports: dict[str, rmt.SpectralSupport] = {}
-    truncation = None
     if params.noise_enabled:
         warnings.warn("could not attach supports: noise enabled, and the laws "
                       "describe noiseless blocks", stacklevel=3)
-        return supports, truncation
+        return supports
     sig, intf, joint = _OVERLAYS[params.scenario]
     names = {"all": (sig, intf, joint), "signal": (sig,), "interference": (intf,)}[terms]
     for name in names:
@@ -293,12 +288,10 @@ def _attach_supports(params: SystemParams, terms: str):
         if name is None or name != sig and not has_interference(params):
             continue
         try:
-            supports[name], report = law_support(params, name)
+            supports[name] = law_support(params, name)
         except ConfigError as exc:
             warnings.warn(f"could not attach {name} support: {exc}", stacklevel=3)
-        else:
-            truncation = report or truncation
-    return supports, truncation
+    return supports
 
 
 def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
@@ -319,10 +312,9 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
             params, trial_rng(seed, t), lambda rng: crandn(rng, k * l, n), slice(lo, hi)))
 
     samples = _map_trials(one_trial, trials)
-    supports, truncation = _attach_supports(params, terms) if attach_supports else ({}, None)
+    supports = _attach_supports(params, terms) if attach_supports else {}
     return EigenExperimentResult(params=params, trials=trials, seed=seed, terms=terms,
-                                 samples_per_trial=samples, supports=supports,
-                                 truncation=truncation)
+                                 samples_per_trial=samples, supports=supports)
 
 
 def run_saturation_experiment(num_aoas: int, m_physical: int, params: SystemParams,
@@ -446,6 +438,11 @@ def distinct_aoa_variants(params: SystemParams, p4_values) -> dict[int, SystemPa
             for p4 in p4_values}
 
 
+def short_coherence_variants(params: SystemParams, n_values) -> dict[int, SystemParams]:
+    """fig9-preset family: the block length set to each N."""
+    return {int(n): replace(params, block_length=int(n)) for n in n_values}
+
+
 def run_distinct_aoa_ber(params: SystemParams, p4_values, ratios_db,
                          bits_target: int, seed: int
                          ) -> dict[int, dict[str, BerResult]]:
@@ -454,14 +451,9 @@ def run_distinct_aoa_ber(params: SystemParams, p4_values, ratios_db,
                          bits_target, seed)
 
 
-def run_short_coherence_ber(n_values, snr_db: float, ratios_db,
-                            bits_target: int, seed: int,
-                            num_antennas: int = 400, num_users: int = 15,
-                            num_cells: int = 4) -> dict[int, dict[str, BerResult]]:
-    """fig9-preset family: i.d. channel with block length comparable to K*L."""
-    p_s = snr_db_to_signal_power(snr_db)
-    return run_ber_sweep({int(n): SystemParams(
-        num_antennas=num_antennas, users_per_cell=num_users, num_cells=num_cells,
-        block_length=int(n), signal_power=p_s, interference_power=p_s,
-        noise_enabled=True, scenario="iid") for n in n_values},
-        ratios_db, bits_target, seed)
+def run_short_coherence_ber(params: SystemParams, n_values, ratios_db,
+                            bits_target: int, seed: int
+                            ) -> dict[int, dict[str, BerResult]]:
+    """fig9-preset family: sweep the block length, comparable to K*L."""
+    return run_ber_sweep(short_coherence_variants(params, n_values), ratios_db,
+                         bits_target, seed)

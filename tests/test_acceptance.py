@@ -349,8 +349,11 @@ def test_criterion_8c_p4_sweep():
 
 def test_criterion_8d_short_coherence():
     t0 = time.time()
-    fam = sim.run_short_coherence_ber([30, 60], 0.0, [-9.0], 200_000, seed=24,
-                                      num_antennas=200)
+    p_s = sim.snr_db_to_signal_power(0.0)
+    base = SystemParams(num_antennas=200, users_per_cell=15, num_cells=4, block_length=120,
+                        signal_power=p_s, interference_power=p_s, noise_enabled=True,
+                        scenario="iid")
+    fam = sim.run_short_coherence_ber(base, [30, 60], [-9.0], 200_000, seed=24)
     _BER_WALL_CLOCK["d"] = time.time() - t0
     parts = []
     ok = True
@@ -400,7 +403,7 @@ def test_criterion_9_property_suites():
         params = rmt.DoubleSidedParams(num_users=5, num_cells=4, num_antennas=400,
                                        block_length=1000, num_aoas=p_count,
                                        p_signal=P_S, p_interference=P_I)
-        sup, _ = rmt.support_double_sided(params)
+        sup = rmt.support_double_sided(params)
         gap = sup.gap_widths[0] if sup.gap_widths else 0.0
         mono &= gap >= prev
         prev = gap

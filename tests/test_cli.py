@@ -421,6 +421,14 @@ BAD_INPUTS = {
     "stieltjes-iid-string": ("p_s", ["stieltjes", "--law", "iid"],
                              dict(p_s="x", alpha=0.0125, gamma=0.005)),
 }
+# a non-finite point s, for each law of the stieltjes subcommand
+_STIELTJES_LAWS = {"mp": dict(ratio=0.5), "onesided": dict(scale=0.1, inner_dim=5, m=400,
+                                                           n=1000, p=200),
+                   "iid": dict(p_s=0.1, alpha=0.0125, gamma=0.005), "double": _DOUBLE_LAW}
+BAD_INPUTS.update({
+    f"stieltjes-{law}-{flag[4:]}-{val}": (flag, ["stieltjes", "--law", law, flag, val], params)
+    for law, params in _STIELTJES_LAWS.items() for flag in ("--s-re", "--s-im")
+    for val in ("nan", "inf")})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -431,8 +439,8 @@ def test_bad_input_is_one_line_config_error(case, tmp_path, capsys):
     out = tmp_path / "out"
     if argv[:1] in (["support"], ["stieltjes"]):
         argv = argv + ["--params", str(path)]
-        if argv[0] == "stieltjes":
-            argv += ["--s-re", "0.05", "--s-im", "0.01"]
+        if argv[0] == "stieltjes":  # a point given in the case comes later and wins
+            argv[1:1] = ["--s-re", "0.05", "--s-im", "0.01"]
     else:
         argv = ["run", "--config", str(path), "--out", str(out)] + argv
     rc = cli.main(argv)

@@ -206,10 +206,13 @@ class TestDoubleSided:
         for s in (0.1 + 0.1j, 0.02 + 0.1j):
             vals = []
             for _ in range(20):
-                a = crandn(rng, p.num_antennas, p.num_aoas)
+                # given H, the rows of A H / sqrt(P) (A i.i.d. CN(0, 1)) are
+                # i.i.d. CN(0, H^H H / P): draw them as Z L^H with
+                # L = chol(H^H H / P) instead of drawing the M x P factor A
                 h = crandn(rng, p.num_aoas, kl)
+                low = np.linalg.cholesky(h.conj().T @ h / p.num_aoas)
+                sh = crandn(rng, p.num_antennas, kl) @ low.conj().T
                 x = crandn(rng, kl, p.block_length)
-                sh = a @ h / np.sqrt(p.num_aoas)
                 g22 = sh.conj().T @ sh / p.num_antennas
                 xd = np.sqrt(d)[:, None] * x
                 g21 = xd @ xd.conj().T / p.block_length
@@ -514,6 +517,13 @@ class TestErrorContracts:
     def test_lower_half_plane_rejected_for_implicit_laws(self):
         with pytest.raises(ConfigError):
             rmt.stieltjes_onesided(0.1 - 0.5j, FIG3_ONESIDED)
+
+    @pytest.mark.parametrize("s", [complex(math.nan, 0.01), complex(0.05, math.inf)],
+                             ids=["nan-real", "inf-imag"])
+    def test_non_finite_point_rejected_for_implicit_laws(self, s):
+        # used to end in an IndexError from the empty root set of the descent
+        with pytest.raises(ConfigError, match="requires a finite s"):
+            rmt.stieltjes_onesided(s, FIG3_ONESIDED)
 
     def test_power_ordering_warns(self):
         with pytest.warns(UserWarning, match="separation regime"):

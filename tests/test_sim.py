@@ -207,7 +207,7 @@ class TestSupportOverlays:
                     aoa_counts=(25,))
         with pytest.warns(UserWarning, match="could not attach.*noise enabled"):
             res = sim.run_eigen_experiment(p, 1, 6)
-        assert res.supports == {} and res.truncation is None
+        assert res.supports == {}
 
     def test_unequal_interferer_counts_say_so(self):
         # fig6 layout: the distinct interference law needs one shared count
@@ -316,10 +316,11 @@ class TestDistinctAndShortCoherence:
             sim.run_distinct_aoa_ber(_params(), [10], [-9.0], 10_000, 0)
 
     def test_short_coherence_runs_iid(self):
-        fam = sim.run_short_coherence_ber([30, 60], snr_db=0.0, ratios_db=[-9.0],
-                                          bits_target=15_000, seed=5,
-                                          num_antennas=100, num_users=15,
-                                          num_cells=4)
+        base = SystemParams(num_antennas=100, users_per_cell=15, num_cells=4,
+                            block_length=120, signal_power=1.0, interference_power=1.0,
+                            noise_enabled=True, scenario="iid")
+        fam = sim.run_short_coherence_ber(base, [30, 60], ratios_db=[-9.0],
+                                          bits_target=15_000, seed=5)
         assert set(fam) == {30, 60}
         for n, res in fam.items():
             for scheme in ("subspace", "pilot"):
