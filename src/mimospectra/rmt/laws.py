@@ -4,10 +4,13 @@ Convention: G(s) = integral f(x)/(x - s) dx with Im s != 0, so Im s > 0
 implies Im G > 0 and s*G(s) -> -1 as |s| -> infinity.  Each implicit law is
 written once, as a table T[i, j] of the coefficients of s^i G^j in its
 defining relation F(s, G) = 0; the evaluator, the residual and (in
-``support``) the inverse-function polynomial are derived from that table.
-Evaluation is polynomial root finding plus continuation: the physical branch
-is anchored at G = -1/s for Im s = 1e6 and tracked by nearest-root matching
-along a vertical path down to the requested point.
+``support``) the inverse-function polynomial are derived from that table,
+and one helper, ``coeffs_at``, evaluates a table at a stack of points for
+all of them.  Evaluation is polynomial root finding plus continuation: the
+physical branch is anchored at G = -1/s for Im s = 1e6 and tracked by
+nearest-root matching along a vertical path down to the requested point.
+A scalar s is a one-point array, and every point is checked before any
+solve.
 
 Laws implemented:
 
@@ -163,7 +166,7 @@ def mp_stieltjes(s, ratio: float):
     """
     if ratio <= 0:
         raise ConfigError("ratio must be positive")
-    s_arr = np.asarray(s, dtype=complex)
+    s_arr = _finite(s)
     if np.any(s_arr.imag == 0):
         raise ConfigError("mp_stieltjes requires Im s != 0")
     b = 1.0 - ratio - s_arr
@@ -217,102 +220,102 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _roots_at(coeff_fn, points) -> np.ndarray:
+def coeffs_at(table: np.ndarray, points) -> np.ndarray:
+    """Column k holds the coefficients of table's relation at points[k],
+    ascending in its second variable: table.T @ points ** arange, one stacked
+    product.  Evaluators, residuals and scans all evaluate a table here."""
+    return table.T @ np.asarray(points) ** np.arange(len(table))[:, None]
+
+
+def _roots_at(table: np.ndarray, points) -> np.ndarray:
     """Roots in G of F(s, G) = 0 at each point s, one row per point."""
-    coeffs = np.array([coeff_fn(complex(s)) for s in points])
-    return companion_roots(coeffs[:, ::-1].T)
+    return companion_roots(coeffs_at(table, points)[::-1])
 
 
-def _nearest(roots: np.ndarray, g: complex):
-    d = np.abs(roots - g)
-    order = np.argsort(d)
-    best = roots[order[0]]
-    margin = d[order[1]] / max(d[order[0]], 1e-300) if len(order) > 1 else np.inf
-    return best, margin
-
-
-def _track_to(coeff_fn, s_from: complex, g_from: complex, s_to: complex,
+def _track_to(table: np.ndarray, s_from: complex, g_from: complex, s_to: complex,
               depth: int = 0, roots: np.ndarray | None = None) -> complex:
     """Continue the tracked root from (s_from, g_from) to s_to, refining the
     step whenever the nearest-root choice is ambiguous.  ``roots`` are the
     roots at s_to when the caller already has them."""
     if roots is None:
-        roots = _roots_at(coeff_fn, [s_to])[0]
+        roots = _roots_at(table, [s_to])[0]
     roots = roots[~np.isnan(roots)]
-    g, margin = _nearest(roots, g_from)
-    moved = abs(g - g_from)
-    if margin > 3.0 or moved < 0.25 * (1.0 + abs(g_from)):
+    d = np.abs(roots - g_from)
+    order = np.argsort(d)
+    g = roots[order[0]]
+    margin = d[order[1]] / max(d[order[0]], 1e-300) if len(order) > 1 else np.inf
+    if margin > 3.0 or abs(g - g_from) < 0.25 * (1.0 + abs(g_from)):
         return g
     if depth >= 24:
         raise BranchTrackingError(
             f"ambiguous branch near s={s_to:.6g} (margin {margin:.3f}); "
             f"candidate roots: {roots}", roots=roots)
     mid = 0.5 * (s_from + s_to)
-    g_mid = _track_to(coeff_fn, s_from, g_from, mid, depth + 1)
-    return _track_to(coeff_fn, mid, g_mid, s_to, depth + 1)
+    g_mid = _track_to(table, s_from, g_from, mid, depth + 1)
+    return _track_to(table, mid, g_mid, s_to, depth + 1)
 
 
-def _trace_from_anchor(coeff_fn, s: complex) -> complex:
+def _trace_from_anchor(table: np.ndarray, s: complex) -> complex:
     """Anchor at Im = 1e6 (where G = -1/s) and descend vertically to s; the
     roots along the whole path come from one stacked solve."""
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise ConfigError(f"law evaluation requires a finite s, got s={s}")
-    if s.imag <= 0:
-        raise ConfigError("law evaluation requires Im s > 0")
     top = max(ANCHOR_IM, 2.0 * s.imag)
     n_dec = max(1.0, math.log10(top / s.imag))
     n_steps = max(48, int(_STEPS_PER_DECADE * n_dec))
     path = s.real + 1j * np.geomspace(top, s.imag, n_steps)
     g = -1.0 / path[0]
     s_prev = path[0]
-    for sk, roots in zip(path, _roots_at(coeff_fn, path)):
-        g = _track_to(coeff_fn, s_prev, g, complex(sk), roots=roots)
+    for sk, roots in zip(path, _roots_at(table, path)):
+        g = _track_to(table, s_prev, g, complex(sk), roots=roots)
         s_prev = complex(sk)
     if g.imag < -1e-10:
         raise BranchTrackingError(
             f"tracked root lost Herglotz property at s={s:.6g}: G={g:.6g}",
-            roots=_roots_at(coeff_fn, [s])[0])
+            roots=_roots_at(table, [s])[0])
     return g
 
 
-def _eval_implicit(coeff_fn, s):
+def _finite(s) -> np.ndarray:
+    """s as a complex array, refused unless every point is finite."""
+    s_arr = np.asarray(s, dtype=complex)
+    bad = ~np.isfinite(s_arr)
+    if bad.any():
+        raise ConfigError(f"law evaluation requires a finite s, got s={complex(s_arr[bad][0])}")
+    return s_arr
+
+
+def _eval_implicit(table: np.ndarray, s):
     """Evaluate a polynomial-implicit law at scalar or array s.
 
-    Array inputs are evaluated in order with warm starts between nearby
-    points, from the roots of one stacked solve over all points; a fresh
-    anchor descent is used whenever the previous point is too far away or
-    tracking degrades.
+    A scalar is a one-point array.  Every point must be finite with Im s > 0;
+    that is checked before any solve.  Points are evaluated in order from the
+    roots of one stacked solve over all of them: a point near the previous
+    one warm-starts from it, any other takes the anchor descent, which is also
+    the fallback when warm tracking is ambiguous or loses Im G > 0.
     """
-    s_arr = np.asarray(s, dtype=complex)
-    if s_arr.ndim == 0:
-        return _trace_from_anchor(coeff_fn, complex(s_arr))
+    s_arr = _finite(s)
+    if np.any(s_arr.imag <= 0):
+        raise ConfigError("law evaluation requires Im s > 0")
     flat = s_arr.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    g_prev = None
-    s_prev = None
-    for i, (sc, roots) in enumerate(zip(flat, _roots_at(coeff_fn, flat))):
+    g_prev = s_prev = None
+    for i, (sc, roots) in enumerate(zip(flat, _roots_at(table, flat))):
         sc = complex(sc)
-        fresh = (g_prev is None or abs(sc - s_prev) > 0.5 * (1.0 + abs(s_prev)))
-        if fresh:
-            g = _trace_from_anchor(coeff_fn, sc)
-        else:
+        g = None
+        if g_prev is not None and abs(sc - s_prev) <= 0.5 * (1.0 + abs(s_prev)):
             try:
-                g = _track_to(coeff_fn, s_prev, g_prev, sc, roots=roots)
-                if g.imag < -1e-10:
-                    g = _trace_from_anchor(coeff_fn, sc)
+                g = _track_to(table, s_prev, g_prev, sc, roots=roots)
             except BranchTrackingError:
-                g = _trace_from_anchor(coeff_fn, sc)
+                pass
+        if g is None or g.imag < -1e-10:
+            g = _trace_from_anchor(table, sc)
         out[i] = g
         g_prev, s_prev = g, sc
-    return out.reshape(s_arr.shape)
+    return out.reshape(s_arr.shape) if s_arr.ndim else out[0]
 
 
-def _normalized_residual(coeffs: np.ndarray, g: complex) -> float:
-    powers = g ** np.arange(len(coeffs))
-    num = abs(np.sum(coeffs * powers))
-    den = np.sum(np.abs(coeffs * powers))
-    return num / max(den, 1e-300)
+def _normalized_residual(table: np.ndarray, s: complex, g: complex) -> float:
+    terms = coeffs_at(table, [complex(s)])[:, 0] * complex(g) ** np.arange(table.shape[1])
+    return abs(np.sum(terms)) / max(np.sum(np.abs(terms)), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +338,6 @@ def _of_upsilon(*coeffs) -> np.ndarray:
     for k, c in enumerate(coeffs):
         out[:k + 1] += c * npp.polypow([1.0, 1.0], k)
     return out
-
-
-def _forward(table: np.ndarray, s: complex) -> np.ndarray:
-    """Ascending-in-G coefficients of F(s, G) at one s."""
-    return table.T @ s ** np.arange(len(table))
 
 
 def onesided_table(p: OneSidedParams) -> np.ndarray:
@@ -420,39 +418,35 @@ def distinct_table(num_users: int, num_cells: int, num_antennas: int,
 
 def stieltjes_onesided(s, params: OneSidedParams):
     """Law of the n x n single-power product matrix (zero atom included)."""
-    table = onesided_table(params)
-    return _eval_implicit(lambda sk: _forward(table, sk), s)
+    return _eval_implicit(onesided_table(params), s)
 
 
 def onesided_residual(s: complex, g: complex, params: OneSidedParams) -> float:
-    return _normalized_residual(_forward(onesided_table(params), complex(s)), complex(g))
+    return _normalized_residual(onesided_table(params), s, g)
 
 
 def stieltjes_iid_limit(s, p_s: float, alpha: float, gamma: float):
     """Rich-scattering limit of the one-sided law (cubic in G)."""
-    table = iid_table(p_s, alpha, gamma)
-    return _eval_implicit(lambda sk: _forward(table, sk), s)
+    return _eval_implicit(iid_table(p_s, alpha, gamma), s)
 
 
 def iid_limit_residual(s: complex, g: complex, p_s: float, alpha: float,
                        gamma: float) -> float:
-    return _normalized_residual(_forward(iid_table(p_s, alpha, gamma), complex(s)),
-                                complex(g))
+    return _normalized_residual(iid_table(p_s, alpha, gamma), s, g)
 
 
 def stieltjes_double_sided(s, params: DoubleSidedParams):
     """Joint signal-plus-interference spectrum of the two-power product law;
     the K*L x K*L matrix has no zero atom.  The physical root of T^2 - Q is
     selected by continuation."""
-    table = double_sided_table(params)
-    return _eval_implicit(lambda sk: _forward(table, sk), s)
+    return _eval_implicit(double_sided_table(params), s)
 
 
 def double_sided_residual(s: complex, g: complex, params: DoubleSidedParams) -> float:
     """Normalized residual of the unsquared defining relation T(G) = -R with
     the radical branch chosen to minimize it."""
-    s, g = complex(s), complex(g)
-    t, q = (npp.polyval2d(s, g, tab) for tab in double_sided_parts(params))
+    t, q = (coeffs_at(tab, [complex(s)])[:, 0] @ complex(g) ** np.arange(tab.shape[1])
+            for tab in double_sided_parts(params))
     r = np.sqrt(complex(q))
     scale = abs(t) + abs(r) + 1e-300
     return min(abs(t + r), abs(t - r)) / scale

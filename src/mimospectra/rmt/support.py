@@ -6,9 +6,10 @@ of those intervals (Silverstein & Choi, J. Multivariate Anal. 1995).  The
 inverse function is the law's own relation F(s, G) = 0 read in s: its
 inverse-function table is the coefficient table of ``laws`` at G = x, or for
 the one-sided law at G = gamma x - (1 - gamma)/s, which removes the zero
-atom.  The scan solves that polynomial in s on a signed log grid of real x,
-split at the branch poles (the real roots in x of the leading s-row), with
-one stacked companion-matrix eigen solve per segment.  Real
+atom.  The scan solves that polynomial in s on one signed log grid of real
+x, split at 0 and at the branch poles (the real roots in x of the leading
+s-row), with the table evaluated by ``laws.coeffs_at`` and one stacked
+companion-matrix eigen solve per segment.  Real
 roots of a real polynomial can only meet at a double root, so while the
 real-root count is constant the k-th sorted root is one branch; where the
 count changes, roots are matched to the previous branches by nearest
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .laws import (DoubleSidedParams, OneSidedParams, companion_roots, distinct_table,
-                   double_sided_table, iid_table, onesided_table)
+from .laws import (DoubleSidedParams, OneSidedParams, coeffs_at, companion_roots,
+                   distinct_table, double_sided_table, iid_table, onesided_table)
 
 
 # every scan's signed log grid: POINTS // 2 points on each of +-[X_MIN, X_MAX]
@@ -110,9 +111,10 @@ def _split_at(xs: np.ndarray, cut_points) -> list[np.ndarray]:
     return [xs[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b - a >= 3]
 
 
-def _track_branches(coeff_fn, xs: np.ndarray) -> list[np.ndarray]:
-    """One NaN-padded row per real branch over a pole-free segment."""
-    roots = _sorted_real_roots(np.array(np.broadcast_arrays(*coeff_fn(xs))))
+def _track_branches(table: np.ndarray, xs: np.ndarray) -> list[np.ndarray]:
+    """One NaN-padded row per real branch in s of the inverse table over a
+    pole-free segment of x."""
+    roots = _sorted_real_roots(coeffs_at(table.T, xs)[::-1])
     count = np.sum(~np.isnan(roots), axis=0)
     cuts = np.flatnonzero(np.diff(count)) + 1
     rows, live = [], []
@@ -201,23 +203,22 @@ def scan_support(table: np.ndarray, label: str = "law") -> SpectralSupport:
     ``table[a, b]`` is the coefficient of s^a x^b in the inverse-function
     polynomial; the grid is split at the real roots of its leading s-row.
     """
-    powers = np.arange(table.shape[1])[:, None]
     poles = companion_roots(table[-1, ::-1, None])[0]
     poles = poles[np.abs(poles.imag) <= 1e-7 * np.maximum(1.0, np.abs(poles))].real
     xs_pos = np.geomspace(X_MIN, X_MAX, POINTS // 2)
+    xs = np.concatenate([-xs_pos[::-1], xs_pos])
     gaps: list[tuple[float, float]] = []
     outer_cut_values: list[float] = []
-    for side in (xs_pos, -xs_pos[::-1]):
-        for seg in _split_at(side, poles):
-            for branch in _track_branches(lambda xs: (table @ xs ** powers)[::-1], seg):
-                for lo, hi, cut_xs, cut_values in _runs_of_branch(seg, branch):
-                    gaps.append((lo, hi))
-                    for cx, cv in zip(cut_xs, cut_values):
-                        # cuts at |x| = X_MAX mean an extremum may lie beyond
-                        # the grid; cuts at X_MIN / pole splits are the
-                        # expected asymptotes
-                        if abs(abs(cx) - X_MAX) <= 1e-9 * X_MAX:
-                            outer_cut_values.append(cv)
+    for seg in _split_at(xs, [*poles, 0.0]):
+        for branch in _track_branches(table, seg):
+            for lo, hi, cut_xs, cut_values in _runs_of_branch(seg, branch):
+                gaps.append((lo, hi))
+                for cx, cv in zip(cut_xs, cut_values):
+                    # cuts at |x| = X_MAX mean an extremum may lie beyond the
+                    # grid; cuts at X_MIN / pole splits are the expected
+                    # asymptotes
+                    if abs(abs(cx) - X_MAX) <= 1e-9 * X_MAX:
+                        outer_cut_values.append(cv)
     if not gaps:
         raise ConfigError(f"{label}: no real increasing branch found on the grid; "
                           "support cannot be identified")

@@ -1,6 +1,8 @@
 """Stieltjes-domain law evaluators against closed forms and Monte Carlo."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,10 +414,14 @@ class TestSteeringVersusIidSurrogate:
 
 # Reference continuation for the stacked solves: the per-point form of
 # laws._track_to, _trace_from_anchor and _eval_implicit, one np.roots call per
-# path or grid point.
+# path or grid point.  Its coefficients come from laws.coeffs_at, over the
+# same stacks of points as the solver's: a matrix product may round a column
+# differently with another number of columns.
 
-def _ref_track_to(coeff_fn, s_from, g_from, s_to, depth=0):
-    roots = np.roots(coeff_fn(s_to)[::-1])
+def _ref_track_to(table, s_from, g_from, s_to, depth=0, coeffs=None):
+    if coeffs is None:
+        coeffs = laws.coeffs_at(table, [s_to])[:, 0]
+    roots = np.roots(coeffs[::-1])
     d = np.abs(roots - g_from)
     order = np.argsort(d)
     g = roots[order[0]]
@@ -424,31 +430,31 @@ def _ref_track_to(coeff_fn, s_from, g_from, s_to, depth=0):
         return g
     assert depth < 24
     mid = 0.5 * (s_from + s_to)
-    g_mid = _ref_track_to(coeff_fn, s_from, g_from, mid, depth + 1)
-    return _ref_track_to(coeff_fn, mid, g_mid, s_to, depth + 1)
+    g_mid = _ref_track_to(table, s_from, g_from, mid, depth + 1)
+    return _ref_track_to(table, mid, g_mid, s_to, depth + 1)
 
 
-def _ref_trace_from_anchor(coeff_fn, s):
+def _ref_trace_from_anchor(table, s):
     s = complex(s)
     top = max(1e6, 2.0 * s.imag)
     n_steps = max(48, int(32 * max(1.0, math.log10(top / s.imag))))
     path = s.real + 1j * np.geomspace(top, s.imag, n_steps)
     g, s_prev = -1.0 / path[0], path[0]
-    for sk in path:
-        g = _ref_track_to(coeff_fn, s_prev, g, complex(sk))
+    for sk, coeffs in zip(path, laws.coeffs_at(table, path).T):
+        g = _ref_track_to(table, s_prev, g, complex(sk), coeffs=coeffs)
         s_prev = complex(sk)
     return g
 
 
-def _ref_eval_array(coeff_fn, s):
+def _ref_eval_array(table, s):
     out, g_prev, s_prev = [], None, None
-    for sc in map(complex, s):
+    for sc, coeffs in zip(map(complex, s), laws.coeffs_at(table, s).T):
         if g_prev is None or abs(sc - s_prev) > 0.5 * (1.0 + abs(s_prev)):
-            g = _ref_trace_from_anchor(coeff_fn, sc)
+            g = _ref_trace_from_anchor(table, sc)
         else:
-            g = _ref_track_to(coeff_fn, s_prev, g_prev, sc)
+            g = _ref_track_to(table, s_prev, g_prev, sc, coeffs=coeffs)
             if g.imag < -1e-10:
-                g = _ref_trace_from_anchor(coeff_fn, sc)
+                g = _ref_trace_from_anchor(table, sc)
         out.append(g)
         g_prev, s_prev = g, sc
     return np.array(out)
@@ -468,31 +474,55 @@ class TestStackedDescent:
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_bitwise_equal_to_per_point_tracking(self, name):
         table = self.TABLES[name]()
-        coeff_fn = lambda s: laws._forward(table, s)
         grid = np.linspace(0.002, 0.25, 400) + 1e-4j
-        got = laws._eval_implicit(coeff_fn, grid)
-        assert got.tobytes() == _ref_eval_array(coeff_fn, grid).tobytes()
+        got = laws._eval_implicit(table, grid)
+        assert got.tobytes() == _ref_eval_array(table, grid).tobytes()
         for x in np.random.default_rng(1234).uniform(0.002, 0.25, 8):
             s = complex(x, 1e-3)
-            assert laws._eval_implicit(coeff_fn, s) == _ref_trace_from_anchor(coeff_fn, s)
+            assert laws._eval_implicit(table, s) == _ref_trace_from_anchor(table, s)
+            assert laws._eval_implicit(table, np.array([s])).tobytes() == \
+                np.array([laws._eval_implicit(table, s)]).tobytes()
 
-    def test_ambiguous_step_is_still_refined(self):
-        # roots a(s) +- 1 with a = -1/s - 1 until Im s = 1, then a ramp of
-        # +1 over Im s in (0.999, 1): one path step jumps both roots, the
-        # nearest-root choice ties, and only bisection keeps the branch that
-        # starts at G = -1/s, which ends at -1/s + 1
+    def test_ambiguous_step_is_still_refined(self, monkeypatch):
+        # G^2 - s^2 has roots +-s: from G = s at s = i, the roots +-1 at s = 1
+        # are equally far from G, so the nearest-root choice ties, and only
+        # bisection keeps the branch G = s
+        table = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         calls = []
+        roots_at = laws._roots_at
+        monkeypatch.setattr(laws, "_roots_at",
+                            lambda t, points: calls.append(points) or roots_at(t, points))
+        g = laws._track_to(table, 1j, 1j, 1.0)
+        assert len(calls) > 1       # more solves than the one endpoint: it refined
+        assert g == _ref_track_to(table, 1j, 1j, 1.0)
+        assert abs(g - 1.0) < 1e-12
 
-        def coeff_fn(s):
-            calls.append(s)
-            a = -1.0 / s - 1.0 + np.clip((1.0 - s.imag) / 1e-3, 0.0, 1.0)
-            return np.array([a * a - 1.0, -2.0 * a, 1.0])
 
-        s = 0.1 + 1e-3j
-        g = laws._eval_implicit(coeff_fn, s)
-        assert len(calls) > 288      # more evaluations than path points: it refined
-        assert g == _ref_trace_from_anchor(coeff_fn, s)
-        assert abs(g - (-1.0 / s + 1.0)) < 1e-12
+LAW_PINS = json.loads((Path(__file__).parent / "law_pins.json").read_text())
+PIN_DOUBLE = rmt.DoubleSidedParams(num_users=5, num_cells=4, num_antennas=400,
+                                   block_length=1000, num_aoas=200,
+                                   p_signal=0.1, p_interference=10 ** -1.6)
+PIN_LAWS = {
+    "double_sided": lambda s: rmt.stieltjes_double_sided(s, PIN_DOUBLE),
+    "one_sided": lambda s: rmt.stieltjes_onesided(s, FIG3_ONESIDED),
+    "iid": lambda s: rmt.stieltjes_iid_limit(s, 0.1, 5 / 400, 5 / 1000),
+    "mp": lambda s: rmt.mp_stieltjes(s, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_LAWS))
+def test_values_match_recorded_pins(name):
+    # law_pins.json holds G recorded from the per-point solver that preceded
+    # the stacked table evaluation, at the fig3 point of the benchmark's law
+    # operation: the 400-point grid at eps = 1e-4 as one array, and 8 cold
+    # scalar points at Im s = 1e-3
+    evaluator, pins = PIN_LAWS[name], LAW_PINS[name]
+    grid = np.linspace(0.002, 0.25, 400) + 1e-4j
+    cold = [complex(x, 1e-3) for x in np.random.default_rng(1234).uniform(0.002, 0.25, 8)]
+    got = {"grid": evaluator(grid), "cold": np.array([evaluator(s) for s in cold])}
+    for key, values in got.items():
+        want = np.array(pins[key]) @ [1.0, 1j]
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
 
 
 class TestErrorContracts:
@@ -500,9 +530,9 @@ class TestErrorContracts:
         from mimospectra.rmt.laws import _track_to
         from mimospectra.errors import BranchTrackingError
         # symmetric roots keep the nearest-root choice ambiguous at any depth
-        coeff_fn = lambda s: np.array([-1.0, 0.0, 1.0])  # G^2 - 1
+        table = np.array([[-1.0, 0.0, 1.0]])  # G^2 - 1
         with pytest.raises(BranchTrackingError) as err:
-            _track_to(coeff_fn, 1j, 0.0 + 0.0j, 2j)
+            _track_to(table, 1j, 0.0 + 0.0j, 2j)
         assert len(err.value.roots) == 2
 
     @pytest.mark.parametrize("call", [
@@ -518,12 +548,20 @@ class TestErrorContracts:
         with pytest.raises(ConfigError):
             rmt.stieltjes_onesided(0.1 - 0.5j, FIG3_ONESIDED)
 
-    @pytest.mark.parametrize("s", [complex(math.nan, 0.01), complex(0.05, math.inf)],
-                             ids=["nan-real", "inf-imag"])
-    def test_non_finite_point_rejected_for_implicit_laws(self, s):
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("s", [complex(math.nan, 0.01), complex(0.05, math.inf),
+                                   np.array([0.05 + 0.01j, complex(math.nan, 0.01)])],
+                             ids=["nan-real", "inf-imag", "nan-second-in-array"])
+    def test_non_finite_point_rejected_for_implicit_laws(self, s, name):
         # used to end in an IndexError from the empty root set of the descent
+        # (for a non-first array point, after a warm start from its
+        # neighbour), and in nan+nanj for mp
         with pytest.raises(ConfigError, match="requires a finite s"):
-            rmt.stieltjes_onesided(s, FIG3_ONESIDED)
+            LAWS[name][0](s)
+
+    def test_density_names_a_non_finite_grid_point(self):
+        with pytest.raises(ConfigError, match="x=nan"):
+            rmt.density_from_stieltjes(LAWS["onesided"][0], [0.05, math.nan])
 
     def test_power_ordering_warns(self):
         with pytest.warns(UserWarning, match="separation regime"):

@@ -249,10 +249,11 @@ class TestSortedRealRoots:
 
     def test_branch_keeps_its_row_when_a_pair_appears_below(self):
         # (s - 1)^2 - t times (s - 3): for t > 0 a real pair 1 +- sqrt(t)
-        # appears below s = 3, whose sorted index moves from 0 to 2
+        # appears below s = 3, whose sorted index moves from 0 to 2; row a of
+        # the table holds the coefficients of s^a t^0 and s^a t^1
         t = np.linspace(-1.0, 1.0, 40)
-        rows = support_mod._track_branches(
-            lambda x: [1.0, -5.0, 7.0 - x, 3.0 * x - 3.0], t)
+        table = np.array([[-3.0, 3.0], [7.0, -1.0], [-5.0, 0.0], [1.0, 0.0]])
+        rows = support_mod._track_branches(table, t)
         assert len(rows) == 3
         full = [r for r in rows if not np.isnan(r).any()]
         assert len(full) == 1
