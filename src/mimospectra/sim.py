@@ -188,36 +188,23 @@ def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
     return Block(ch, cols, x[cols], np.sqrt(powers[cols]), noise)
 
 
-def _nonzero_block_eigs(block: Block) -> np.ndarray:
-    """Nonzero eigenvalues of Y Y^H / M for one block.
+def bartlett_factor(rng: np.random.Generator, size: int, dof: int) -> np.ndarray:
+    """Lower-triangular L with L L^H distributed as X X^H, a complex Wishart
+    CW_size(dof, I), for size <= dof (complex Bartlett decomposition, Goodman
+    1963): CN(0,1) entries below the diagonal, drawn first, then
+    L_ii = sqrt(Gamma(dof - i)) for 0-based i; O(size^2) draws, not size*dof."""
+    low = np.tril(crandn(rng, size, size), -1)
+    low[np.diag_indices(size)] = np.sqrt(rng.standard_gamma(dof - np.arange(size)))
+    return low
 
-    Noiseless blocks with few columns use the small product
-    (H^H H / M)(X X^H) whose eigenvalues equal the nonzero spectrum; H^H H
-    comes from ``ChannelRealization.gram``, so the M x C composite is built
-    only when the AoAs outnumber the antennas.  With X X^H = L L^H the
-    product is similar to the Hermitian L^H (H^H H / M) L; a singular X X^H
-    (no Cholesky factor) takes the general eigen solve of the product.
-    """
-    x, amp = block.symbols, block.amplitudes
-    m = block.channel.params.num_antennas
-    if block.noise is None and x.shape[0] <= min(m, x.shape[1]):
-        gram_h = block.channel.gram(block.cols) / m
-        gram_x = amp[:, None] * (x @ x.conj().T) * amp
-        try:
-            low = np.linalg.cholesky(gram_x)
-        except np.linalg.LinAlgError:
-            lam = np.linalg.eigvals(gram_h @ gram_x)
-            if np.abs(lam.imag).max(initial=0.0) > 1e-6 * max(np.abs(lam).max(initial=0.0),
-                                                               1e-300):
-                raise ConfigError("product eigenvalues unexpectedly complex") from None
-            lam = np.sort(lam.real)
-        else:
-            lam = np.linalg.eigvalsh(low.conj().T @ gram_h @ low)
-    else:
-        sv = np.linalg.svd(block.received, compute_uv=False)
-        lam = np.sort(sv ** 2 / m)
-    keep = lam > NONZERO_EIG_RTOL * lam.max(initial=0.0)
-    return lam[keep]
+
+def _product_eigs(channel: ChannelRealization, cols: slice, factor: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian F^H (H^H H / M) F, similar to the C x C
+    product (H^H H / M)(F F^H): for a noiseless block whose scaled symbol Gram
+    is F F^H, its nonzero ones are those of Y Y^H / M.  ``ChannelRealization.gram``
+    builds the M x C composite only when the AoAs outnumber the antennas."""
+    gram_h = channel.gram(cols) / channel.params.num_antennas
+    return np.linalg.eigvalsh(factor.conj().T @ gram_h @ factor)
 
 
 def _term_columns(params: SystemParams, terms: str) -> tuple[int, int]:
@@ -300,16 +287,27 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
     """Pool nonzero eigenvalues of Y Y^H / M over independent coherence blocks.
 
     Blocks are noiseless by default (high-SNR regime) unless the params
-    enable noise; inputs are unit-variance Gaussian symbols.
+    enable noise; inputs are unit-variance Gaussian symbols, drawn as the
+    ``bartlett_factor`` of X X^H in a noiseless trial with C <= min(M, N).
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     lo, hi = _term_columns(params, terms)
-    k, l, n = params.users_per_cell, params.num_cells, params.block_length
+    cols, c = slice(lo, hi), hi - lo
+    k, l, m, n = (params.users_per_cell, params.num_cells, params.num_antennas,
+                  params.block_length)
+    amp = np.sqrt(worst_case_power_diagonal(k, l, params.signal_power,
+                                            params.interference_power)[cols])
 
     def one_trial(t: int) -> np.ndarray:
-        return _nonzero_block_eigs(draw_block(
-            params, trial_rng(seed, t), lambda rng: crandn(rng, k * l, n), slice(lo, hi)))
+        rng = trial_rng(seed, t)
+        if params.noise_enabled or c > min(m, n):
+            block = draw_block(params, rng, lambda g: crandn(g, k * l, n), cols)
+            lam = np.sort(np.linalg.svd(block.received, compute_uv=False) ** 2 / m)
+        else:
+            channel = realize_channel(params, rng)
+            lam = _product_eigs(channel, cols, amp[:, None] * bartlett_factor(rng, c, n))
+        return lam[lam > NONZERO_EIG_RTOL * lam.max(initial=0.0)]
 
     samples = _map_trials(one_trial, trials)
     supports = _attach_supports(params, terms) if attach_supports else {}

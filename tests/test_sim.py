@@ -1,9 +1,6 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
-import itertools
 import os
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,7 +112,7 @@ class TestEigenExperiment:
         for t in range(5):
             block = sim.draw_block(p, sim.trial_rng(9, t),
                                    lambda rng: sim.crandn(rng, 16, 500))
-            got = sim._nonzero_block_eigs(block)
+            got = sim._product_eigs(block.channel, block.cols, _chol_factor(block))
             h, x = block.composite, block.scaled
             want = np.sort(np.linalg.eigvals(
                 (h.conj().T @ h / p.num_antennas) @ (x @ x.conj().T)).real)
@@ -138,8 +135,15 @@ def _product_eigs_reference(block):
     return lam[lam > sim.NONZERO_EIG_RTOL * lam.max()]
 
 
+def _chol_factor(block):
+    """diag(sqrt(p)) chol(X X^H) of a drawn block: a factor of its scaled
+    symbol Gram."""
+    x = block.symbols
+    return block.amplitudes[:, None] * np.linalg.cholesky(x @ x.conj().T)
+
+
 class TestHermitianProductSolve:
-    """The Cholesky-similar Hermitian solve of the noiseless product."""
+    """The Hermitian solve F^H (H^H H / M) F of the noiseless product."""
 
     FIG = dict(users_per_cell=5, num_cells=4, block_length=1000, signal_power=0.1,
                interference_power=10.0 ** -1.6)
@@ -155,49 +159,66 @@ class TestHermitianProductSolve:
         for t in range(3):
             block = sim.draw_block(p, sim.trial_rng(21, t),
                                    lambda rng: sim.crandn(rng, 20, 1000))
-            got = sim._nonzero_block_eigs(block)
+            got = sim._product_eigs(block.channel, block.cols, _chol_factor(block))
             want = _product_eigs_reference(block)
             assert got.shape == want.shape == (20,)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    def test_singular_symbol_gram_takes_the_general_solve(self, monkeypatch):
-        p = _params(users_per_cell=4)
-        block = sim.draw_block(p, sim.trial_rng(9, 0), lambda rng: sim.crandn(rng, 16, 500))
-        general = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: general.append(a) or eigvals(a))
-        # repeat a row within its power group: X X^H is singular; rounding
-        # decides whether Cholesky still finds a factor, so take the first
-        # pair that reaches the general solve
-        for src, row in itertools.combinations(range(16), 2):
-            if (src < 4) != (row < 4):
-                continue
-            symbols = block.symbols.copy()
-            symbols[row] = symbols[src]
-            singular = replace(block, symbols=symbols)
-            got = sim._nonzero_block_eigs(singular)
-            if general:
-                break
-        else:
-            pytest.fail("every repeated row still had a Cholesky factor")
-        sv = np.linalg.svd(singular.received, compute_uv=False)
-        want = np.sort(sv ** 2 / p.num_antennas)
-        want = want[want > sim.NONZERO_EIG_RTOL * want.max()]
-        assert got.shape == want.shape == (15,)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
-    def test_complex_product_spectrum_is_a_config_error(self):
-        # a non-Hermitian "Gram" with a singular X X^H reaches the general
-        # solve, whose eigenvalues +-i must be rejected
-        rot = np.zeros((3, 3))
-        rot[0, 1], rot[1, 0] = 10.0, -10.0
-        channel = SimpleNamespace(params=SimpleNamespace(num_antennas=10),
-                                  gram=lambda cols: rot)
-        symbols = np.zeros((3, 5), dtype=complex)
-        symbols[0, 0] = symbols[1, 1] = 1.0
-        block = sim.Block(channel, slice(None), symbols, np.ones(3), None)
-        with pytest.raises(ConfigError, match="unexpectedly complex"):
-            sim._nonzero_block_eigs(block)
+class TestBartlettFactor:
+    """L L^H from ``sim.bartlett_factor`` against the moments of X X^H for a
+    size x dof CN(0,1) matrix X, a complex Wishart CW_size(dof, I)."""
+
+    SIZE, DOF, DRAWS = 6, 10, 20_000
+    # over 200 seeds of the trial comparison the smallest per-rank KS p-value
+    # was 1.9e-4; with Gamma(N - i - 1) on the diagonal it was at most 1e-31
+    KS_PMIN = 1e-6
+
+    @pytest.fixture(scope="class")
+    def grams(self):
+        rng = np.random.default_rng(17)
+        low = np.stack([sim.bartlett_factor(rng, self.SIZE, self.DOF)
+                        for _ in range(self.DRAWS)])
+        assert np.all(np.triu(low, 1) == 0)
+        diag = np.diagonal(low, axis1=1, axis2=2)
+        assert np.all(diag.imag == 0) and np.all(diag.real > 0)
+        return low @ low.conj().transpose(0, 2, 1)
+
+    def _within_5_se(self, samples, want):
+        # samples: draws along axis 0; bound: 5 standard errors of their mean
+        se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+        assert np.all(np.abs(samples.mean(axis=0) - want) < 5 * se)
+
+    def test_mean_is_dof_times_identity(self, grams):
+        off = ~np.eye(self.SIZE, dtype=bool)
+        self._within_5_se(grams.real, self.DOF * np.eye(self.SIZE))
+        self._within_5_se(grams.imag[:, off], 0.0)  # the diagonal is real
+
+    def test_off_diagonal_second_moment_is_dof(self, grams):
+        off = ~np.eye(self.SIZE, dtype=bool)
+        self._within_5_se(np.abs(grams[:, off]) ** 2, self.DOF)
+
+    def test_diagonal_variance_is_dof(self, grams):
+        diag = np.diagonal(grams, axis1=1, axis2=2).real
+        self._within_5_se((diag - diag.mean(axis=0)) ** 2 * self.DRAWS / (self.DRAWS - 1),
+                          self.DOF)
+
+    def test_trial_matches_direct_symbol_path(self):
+        # Bartlett trials against draw_block trials (C x N symbols, general
+        # eigen solve): one two-sample KS test per eigenvalue rank, whose
+        # values are independent across trials
+        from scipy.stats import ks_2samp
+        p = _params(num_antennas=16, users_per_cell=2, num_cells=2, block_length=8,
+                    aoa_counts=(12,))
+        trials = 2000
+        new = np.array(sim.run_eigen_experiment(p, trials, 3, attach_supports=False)
+                       .samples_per_trial)
+        direct = np.array([_product_eigs_reference(sim.draw_block(
+            p, sim.trial_rng(1003, t), lambda rng: sim.crandn(rng, 4, 8)))
+            for t in range(trials)])
+        assert new.shape == direct.shape == (trials, 4)
+        pvalues = [ks_2samp(new[:, j], direct[:, j]).pvalue for j in range(4)]
+        assert min(pvalues) > self.KS_PMIN, pvalues
 
 
 class TestSupportOverlays:
