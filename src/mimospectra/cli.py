@@ -14,6 +14,7 @@ thread count comes from the MIMOSPECTRA_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -43,19 +44,24 @@ def _key_types(target, optional: bool) -> dict:
 
 _SYSTEM_TYPES = _key_types(SystemParams, optional=True)
 _DB_KEYS = {"signal_power_db", "interference_power_db"}
+_POWERS = ("signal_power", "interference_power")
 _COMMON_TYPES = {"kind": str, "label": (str, None), "seed": (int, 1234),
-                 **dict.fromkeys(_DB_KEYS, (float, None)), **_SYSTEM_TYPES}
+                 **{k: t for k, t in _SYSTEM_TYPES.items() if k not in _POWERS}}
+# linear or dB powers, for the kinds that take them; a BER kind sets p_signal
+# from snr_db and p_interference from each ratios_db point instead
+_POWER_TYPES = {**{k: _SYSTEM_TYPES[k] for k in _POWERS},
+                **dict.fromkeys(_DB_KEYS, (float, None))}
 _JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
 def _as_type(val, t, where: str):
     """``val`` as type ``t``, or a ConfigError naming ``where``: a bool is not
-    a number, an int is also a float, a float is finite, and a list or tuple
-    type is a JSON list of its element type."""
-    elem = typing.get_args(t)[:1]
-    if elem and isinstance(val, list):
-        return typing.get_origin(t)(_as_type(v, elem[0], f"{where}[{i}]")
-                                    for i, v in enumerate(val))
+    a number, an int is also a float, a float is finite, a list type (a
+    sweep) is a non-empty JSON list of its element type and a tuple type a
+    possibly empty one."""
+    elem, origin = typing.get_args(t)[:1], typing.get_origin(t)
+    if elem and isinstance(val, list) and (val or origin is tuple):
+        return origin(_as_type(v, elem[0], f"{where}[{i}]") for i, v in enumerate(val))
     if not elem and isinstance(val, bool) == (t is bool) and isinstance(
             val, (int, float) if t is float else t):
         try:
@@ -63,7 +69,8 @@ def _as_type(val, t, where: str):
                 return float(val) if t is float else val
         except OverflowError:
             pass
-    name = f"list of {_JSON_NAMES[elem[0]]}s" if elem else _JSON_NAMES[t]
+    name = (f"{'non-empty ' if origin is list else ''}list of {_JSON_NAMES[elem[0]]}s"
+            if elem else _JSON_NAMES[t])
     raise ConfigError(f"{where}={val!r}; expected {name}")
 
 
@@ -169,9 +176,8 @@ def parse_config(raw: dict) -> dict:
     if cfg["seed"] < 0:
         raise ConfigError(f"config.seed={cfg['seed']!r}; expected a non-negative integer")
     cfg.setdefault("label", kind)
-    if "snr_db" in cfg:  # the BER kinds
-        cfg["signal_power"] = sim.snr_db_to_signal_power(cfg["snr_db"])
-        cfg.setdefault("interference_power", cfg["signal_power"])
+    if "snr_db" in cfg:  # the BER kinds: p_signal = 10^(SNR/10) against unit noise
+        cfg["signal_power"] = cfg["interference_power"] = sim.db_to_linear(cfg["snr_db"])
     # build SystemParams early so dimension errors surface as config errors
     cfg["_system"] = SystemParams(**{k: cfg[k] for k in _SYSTEM_TYPES if k in cfg})
     return cfg
@@ -215,9 +221,9 @@ def _eigen_payload(result: sim.EigenExperimentResult) -> dict:
     return payload
 
 
-def _ber_payload(results: dict[str, sim.BerResult]) -> dict:
-    return {scheme: [dataclasses.asdict(p) for p in res.points]
-            for scheme, res in results.items()}
+def _ber_payload(results: dict[str, list[sim.BerPoint]]) -> dict:
+    return {scheme: [dataclasses.asdict(p) for p in points]
+            for scheme, points in results.items()}
 
 
 def _run_eigen(cfg: dict, params: SystemParams) -> dict:
@@ -272,12 +278,13 @@ _BER_TYPES = {"ratios_db": list[float], "snr_db": float, "bits_target": int,
 
 # kind -> (types of its own keys, runner(cfg, params) -> payload)
 KINDS = {
-    "eigen": ({"trials": (int, 20), "terms": (str, "all"), "noise_enabled": (bool, False)},
-              _run_eigen),
-    "saturation": ({"trials": int, "num_aoas": int, "m_physical": int}, _run_saturation),
+    "eigen": ({**_POWER_TYPES, "trials": (int, 20), "terms": (str, "all"),
+               "noise_enabled": (bool, False)}, _run_eigen),
+    "saturation": ({**_POWER_TYPES, "trials": int, "num_aoas": int, "m_physical": int},
+                   _run_saturation),
     "ber": ({**_BER_TYPES, "m_values": (list[int], None)}, _ber_runner(lambda cfg, p: {
         **{f"M={m}": dataclasses.replace(p, num_antennas=m)
-           for m in cfg.get("m_values") or [p.num_antennas]},
+           for m in cfg.get("m_values", [p.num_antennas])},
         **_iid(p)})),
     "ber_aoa": ({**_BER_TYPES, "p_values": list[int], "include_iid": (bool, True)},
                 _ber_runner(lambda cfg, p: {
@@ -288,7 +295,7 @@ KINDS = {
         f"P4={p4}": q for p4, q in sim.distinct_aoa_variants(p, cfg["p4_values"]).items()})),
     "ber_short": ({**_BER_TYPES, "n_values": list[int]}, _ber_runner(lambda cfg, p: {
         f"N={n}": q for n, q in sim.short_coherence_variants(p, cfg["n_values"]).items()})),
-    "support_plot": ({"modes": list[str]}, _run_support_plot),
+    "support_plot": ({**_POWER_TYPES, "modes": list[str]}, _run_support_plot),
 }
 
 
@@ -303,39 +310,47 @@ def config_hash(cfg: dict) -> str:
 
 def run_preset(cfg: dict, out_dir: Path) -> Path:
     """Run the configured experiment, write envelope + CSVs, return the
-    envelope path.  The output directory is created only once the run has
-    succeeded; partial outputs are removed on failure."""
+    envelope path.  Every check that can refuse the run or its output runs
+    before the output directory is created; a failed write removes the
+    files and directories this call made and is a ConfigError."""
     out_dir = Path(out_dir)
-    written: list[Path] = []
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output path {out_dir} exists and is not a directory")
     t0 = time.time()
+    payload = KINDS[cfg["kind"]][1](cfg, cfg["_system"])
+    envelope = {
+        "config": {k: v for k, v in cfg.items() if not k.startswith("_")},
+        "config_hash": config_hash(cfg),
+        "library_version": __version__,
+        "seed": cfg["seed"],
+        "wall_clock_s": round(time.time() - t0, 3),
+        "payload": payload,
+    }
+    env_name = f"{cfg['label']}_result.json"
+    files = {env_name: json.dumps(envelope, indent=1, sort_keys=True),
+             **plot_data(envelope)}
+    missing = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    written: list[Path] = []
     try:
-        payload = KINDS[cfg["kind"]][1](cfg, cfg["_system"])
-        envelope = {
-            "config": {k: v for k, v in cfg.items() if not k.startswith("_")},
-            "config_hash": config_hash(cfg),
-            "library_version": __version__,
-            "seed": cfg["seed"],
-            "wall_clock_s": round(time.time() - t0, 3),
-            "payload": payload,
-        }
         out_dir.mkdir(parents=True, exist_ok=True)
-        env_path = out_dir / f"{cfg['label']}_result.json"
-        env_path.write_text(json.dumps(envelope, indent=1, sort_keys=True))
-        written.append(env_path)
-        written.extend(emit_plot_data(envelope, out_dir))
-        return env_path
-    except Exception:
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+            written.append(out_dir / name)
+    except OSError as exc:
         for path in written:
             path.unlink(missing_ok=True)
-        raise
+        for d in missing:  # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise ConfigError(f"cannot write output to {out_dir}: {exc}") from exc
+    return out_dir / env_name
 
 
 def _csv_header(envelope: dict) -> str:
     return f"# config_hash={envelope['config_hash']} seed={envelope['seed']}\n"
 
 
-def _write_eigen_csv(name: str, eigen: dict, envelope: dict, out_dir: Path,
-                     bins: int = 60) -> Path:
+def _eigen_csv(eigen: dict, envelope: dict, bins: int = 60) -> str:
     pooled = np.concatenate([np.asarray(t) for t in eigen["samples_per_trial"]])
     if pooled.size == 0:
         raise ConfigError("no data: eigen payload holds no samples")
@@ -353,12 +368,10 @@ def _write_eigen_csv(name: str, eigen: dict, envelope: dict, out_dir: Path,
         for _, (lo, hi) in supports:
             row += ([repr(float(lo)), repr(float(hi))] if i == 0 else ["", ""])
         lines.append(",".join(row) + "\n")
-    path = out_dir / f"{envelope['config']['label']}_{name}_hist.csv"
-    path.write_text("".join(lines))
-    return path
+    return "".join(lines)
 
 
-def _write_ber_csv(ber: dict, envelope: dict, out_dir: Path) -> Path:
+def _ber_csv(ber: dict, envelope: dict) -> str:
     lines = [_csv_header(envelope),
              "family,scheme,ratio_db_or_snr,ber,ci_lo,ci_hi,bits\n"]
     for family, schemes in ber.items():
@@ -369,46 +382,43 @@ def _write_ber_csv(ber: dict, envelope: dict, out_dir: Path) -> Path:
                     repr(float(p["ber"])), repr(float(p["ci_lo"])),
                     repr(float(p["ci_hi"])), str(int(p["bits"])),
                 ]) + "\n")
-    path = out_dir / f"{envelope['config']['label']}_ber.csv"
-    path.write_text("".join(lines))
-    return path
+    return "".join(lines)
 
 
-def _write_support_csv(supports: dict, envelope: dict, out_dir: Path) -> Path:
+def _support_csv(supports: dict, envelope: dict) -> str:
     lines = [_csv_header(envelope), "law,interval_index,lo,hi\n"]
     for name, ivs in supports.items():
         if name == "truncation_flags" or ivs is None:
             continue
         for j, (lo, hi) in enumerate(ivs):
             lines.append(f"{name},{j},{lo!r},{hi!r}\n")
-    path = out_dir / f"{envelope['config']['label']}_supports.csv"
-    path.write_text("".join(lines))
-    return path
+    return "".join(lines)
 
 
-def emit_plot_data(envelope: dict, out_dir: Path) -> list[Path]:
-    """Write plot-ready CSVs for whatever the envelope payload holds."""
+def plot_data(envelope: dict) -> dict[str, str]:
+    """Plot-ready CSVs, file name -> text, for whatever the envelope payload
+    holds."""
     payload = envelope.get("payload") or {}
     if not payload:
         raise ConfigError("no data: envelope payload is empty")
-    out_dir = Path(out_dir)
-    paths = []
+    label = envelope["config"]["label"]
+    files = {}
     if "eigen" in payload:
-        paths.append(_write_eigen_csv("eigen", payload["eigen"], envelope, out_dir))
+        files[f"{label}_eigen_hist.csv"] = _eigen_csv(payload["eigen"], envelope)
         supports = payload["eigen"].get("supports") or {}
         if any(v for v in supports.values()):
-            paths.append(_write_support_csv(supports, envelope, out_dir))
+            files[f"{label}_supports.csv"] = _support_csv(supports, envelope)
     if "saturation" in payload:
         for name in ("physical", "iid"):
-            paths.append(_write_eigen_csv(name, payload["saturation"][name],
-                                          envelope, out_dir))
+            files[f"{label}_{name}_hist.csv"] = _eigen_csv(payload["saturation"][name],
+                                                           envelope)
     if "ber" in payload:
-        paths.append(_write_ber_csv(payload["ber"], envelope, out_dir))
+        files[f"{label}_ber.csv"] = _ber_csv(payload["ber"], envelope)
     if "supports" in payload:
-        paths.append(_write_support_csv(payload["supports"], envelope, out_dir))
-    if not paths:
+        files[f"{label}_supports.csv"] = _support_csv(payload["supports"], envelope)
+    if not files:
         raise ConfigError("no data: payload holds no recognized sections")
-    return paths
+    return files
 
 
 # ---------------------------------------------------------------------------

@@ -287,23 +287,26 @@ def _eval_implicit(table: np.ndarray, s):
     """Evaluate a polynomial-implicit law at scalar or array s.
 
     A scalar is a one-point array.  Every point must be finite with Im s > 0;
-    that is checked before any solve.  Points are evaluated in order from the
-    roots of one stacked solve over all of them: a point near the previous
-    one warm-starts from it, any other takes the anchor descent, which is also
-    the fallback when warm tracking is ambiguous or loses Im G > 0.
+    that is checked before any solve.  Points are evaluated in order: a point
+    near the previous one warm-starts from it, with its roots from one stacked
+    solve over all such points; any other takes the anchor descent, which is
+    also the fallback when warm tracking is ambiguous or loses Im G > 0.
     """
     s_arr = _finite(s)
     if np.any(s_arr.imag <= 0):
         raise ConfigError("law evaluation requires Im s > 0")
     flat = s_arr.ravel()
+    near = np.zeros(flat.shape, dtype=bool)
+    near[1:] = np.abs(flat[1:] - flat[:-1]) <= 0.5 * (1.0 + np.abs(flat[:-1]))
+    warm_roots = iter(_roots_at(table, flat[near]) if near.any() else ())
     out = np.empty(flat.shape, dtype=complex)
     g_prev = s_prev = None
-    for i, (sc, roots) in enumerate(zip(flat, _roots_at(table, flat))):
+    for i, sc in enumerate(flat):
         sc = complex(sc)
         g = None
-        if g_prev is not None and abs(sc - s_prev) <= 0.5 * (1.0 + abs(s_prev)):
+        if near[i]:
             try:
-                g = _track_to(table, s_prev, g_prev, sc, roots=roots)
+                g = _track_to(table, s_prev, g_prev, sc, roots=next(warm_roots))
             except BranchTrackingError:
                 pass
         if g is None or g.imag < -1e-10:

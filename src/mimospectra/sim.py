@@ -21,7 +21,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,54 +125,18 @@ def worst_case_power_diagonal(num_users: int, num_cells: int,
 
 @dataclass
 class EigenExperimentResult:
-    params: SystemParams
-    trials: int
-    seed: int
-    terms: str
+    """Each trial's nonzero eigenvalues of Y Y^H / M, and the N-scaled
+    analytic supports attached to them."""
+
     samples_per_trial: list[np.ndarray]
-    supports: dict[str, rmt.SpectralSupport] = field(default_factory=dict)
-
-    def pooled(self) -> np.ndarray:
-        return np.concatenate(self.samples_per_trial)
-
-
-@dataclass
-class Block:
-    """One coherence block, restricted to a slice ``cols`` of the channel's
-    columns.
-
-    ``amplitudes`` holds sqrt(power) per kept column; ``noise`` is None when
-    the params disable noise.
-    """
-
-    channel: ChannelRealization
-    cols: slice
-    symbols: np.ndarray     # C x N
-    amplitudes: np.ndarray  # C
-    noise: np.ndarray | None
-
-    @property
-    def composite(self) -> np.ndarray:
-        """The kept M x C columns of the channel."""
-        return self.channel.composite[:, self.cols]
-
-    @property
-    def scaled(self) -> np.ndarray:
-        return self.amplitudes[:, None] * self.symbols
-
-    @property
-    def received(self) -> np.ndarray:
-        """Y = composite @ (sqrt(powers) * X) + W."""
-        y = self.composite @ self.scaled
-        if self.noise is not None:
-            y += self.noise
-        return y
+    supports: dict[str, rmt.SpectralSupport]
 
 
 def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
-               cols: slice = slice(None)) -> Block:
+               cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Draw the channel, then the K*L x N symbols ``draw_symbols(rng)`` (rows
-    grouped by cell like the composite's columns), then the noise.
+    grouped by cell like the composite's columns), then the noise; return
+    the received Y = H[:, cols] @ (sqrt(powers) * X[cols]) + W and X[cols].
 
     Powers follow the worst-case split of ``worst_case_power_diagonal``;
     ``cols`` keeps a slice of the users (the eigen term selector).
@@ -185,7 +149,10 @@ def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
     noise = crandn(rng, params.num_antennas, n) if params.noise_enabled else None
     powers = worst_case_power_diagonal(k, l, params.signal_power,
                                        params.interference_power)
-    return Block(ch, cols, x[cols], np.sqrt(powers[cols]), noise)
+    y = ch.composite[:, cols] @ (np.sqrt(powers[cols])[:, None] * x[cols])
+    if noise is not None:
+        y += noise
+    return y, x[cols]
 
 
 def bartlett_factor(rng: np.random.Generator, size: int, dof: int) -> np.ndarray:
@@ -302,8 +269,8 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
     def one_trial(t: int) -> np.ndarray:
         rng = trial_rng(seed, t)
         if params.noise_enabled or c > min(m, n):
-            block = draw_block(params, rng, lambda g: crandn(g, k * l, n), cols)
-            lam = np.sort(np.linalg.svd(block.received, compute_uv=False) ** 2 / m)
+            y, _ = draw_block(params, rng, lambda g: crandn(g, k * l, n), cols)
+            lam = np.sort(np.linalg.svd(y, compute_uv=False) ** 2 / m)
         else:
             channel = realize_channel(params, rng)
             lam = _product_eigs(channel, cols, amp[:, None] * bartlett_factor(rng, c, n))
@@ -311,8 +278,7 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
 
     samples = _map_trials(one_trial, trials)
     supports = _attach_supports(params, terms) if attach_supports else {}
-    return EigenExperimentResult(params=params, trials=trials, seed=seed, terms=terms,
-                                 samples_per_trial=samples, supports=supports)
+    return EigenExperimentResult(samples, supports)
 
 
 def run_saturation_experiment(num_aoas: int, m_physical: int, params: SystemParams,
@@ -343,26 +309,12 @@ class BerPoint:
     bits: int
 
 
-@dataclass
-class BerResult:
-    scheme: str
-    sweep_name: str
-    points: list[BerPoint]
-    params: SystemParams
-    seed: int
-
-
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def snr_db_to_signal_power(snr_db: float) -> float:
-    """Per-user SNR wired as p_signal = 10^(SNR/10) against unit noise."""
-    return db_to_linear(snr_db)
-
-
-def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple
-               ) -> dict[str, tuple[float, float, float, int]]:
+def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple,
+               sweep_value: float) -> dict[str, BerPoint]:
     """Simulate coherence blocks until bits_target served-cell data bits.
 
     Both schemes share the same blocks; the 95% CI is computed over
@@ -378,9 +330,8 @@ def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple
         return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(l)])
 
     def one_block(blk: int):
-        block = draw_block(params, trial_rng(seed, point_key + (blk,)), draw_symbols)
-        y, sent = block.received, block.symbols[:k, k:]
-        del block  # frees the noise before the estimator's SVD workspace
+        y, x = draw_block(params, trial_rng(seed, point_key + (blk,)), draw_symbols)
+        sent = x[:k, k:]
         model = estimate_subspace_channel(y, pilot, k)
         dec_sub = mf_detect(model.projected[:, k:], model.estimate)
         dec_pil = pilot_based_detect(y, pilot)
@@ -393,31 +344,29 @@ def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple
         r = np.array([res[s] for res in per_block])
         mean = float(r.mean())
         half = 1.96 * float(r.std(ddof=1)) / np.sqrt(n_blocks)
-        out[s] = (mean, max(mean - half, 0.0), mean + half, n_blocks * bits_per_block)
+        out[s] = BerPoint(sweep_value, mean, max(mean - half, 0.0), mean + half,
+                          n_blocks * bits_per_block)
     return out
 
 
 def run_ber_experiment(params: SystemParams, ratios_db, bits_target: int,
-                       seed: int) -> dict[str, BerResult]:
-    """BER versus interference-to-signal ratio for both schemes.
+                       seed: int) -> dict[str, list[BerPoint]]:
+    """BER versus interference-to-signal ratio (dB) for both schemes, one
+    point per ratio.
 
     ``params.interference_power`` is overridden per sweep point with
     ratio * p_signal.
     """
     if bits_target < 1:
         raise ConfigError("bits_target must be positive")
-    ratios_db = list(ratios_db)
     points: dict[str, list[BerPoint]] = {s: [] for s in SCHEMES}
     for j, ratio_db in enumerate(ratios_db):
         p_i = db_to_linear(ratio_db) * params.signal_power
         point_params = replace(params, interference_power=p_i)
-        res = _ber_point(point_params, bits_target, seed, (j,))
+        res = _ber_point(point_params, bits_target, seed, (j,), float(ratio_db))
         for s in SCHEMES:
-            ber, lo, hi, bits = res[s]
-            points[s].append(BerPoint(sweep_value=float(ratio_db), ber=ber,
-                                      ci_lo=lo, ci_hi=hi, bits=bits))
-    return {s: BerResult(scheme=s, sweep_name="ratio_db", points=points[s],
-                         params=params, seed=seed) for s in SCHEMES}
+            points[s].append(res[s])
+    return points
 
 
 def run_ber_sweep(variants: dict, ratios_db, bits_target: int, seed: int) -> dict:
@@ -443,7 +392,7 @@ def short_coherence_variants(params: SystemParams, n_values) -> dict[int, System
 
 def run_distinct_aoa_ber(params: SystemParams, p4_values, ratios_db,
                          bits_target: int, seed: int
-                         ) -> dict[int, dict[str, BerResult]]:
+                         ) -> dict[int, dict[str, list[BerPoint]]]:
     """fig8-preset family: sweep the last cell's AoA count."""
     return run_ber_sweep(distinct_aoa_variants(params, p4_values), ratios_db,
                          bits_target, seed)
@@ -451,7 +400,7 @@ def run_distinct_aoa_ber(params: SystemParams, p4_values, ratios_db,
 
 def run_short_coherence_ber(params: SystemParams, n_values, ratios_db,
                             bits_target: int, seed: int
-                            ) -> dict[int, dict[str, BerResult]]:
+                            ) -> dict[int, dict[str, list[BerPoint]]]:
     """fig9-preset family: sweep the block length, comparable to K*L."""
     return run_ber_sweep(short_coherence_variants(params, n_values), ratios_db,
                          bits_target, seed)

@@ -132,7 +132,7 @@ def test_criterion_1_support_containment_and_runtime(fig3_run):
     res, elapsed = fig3_run
     sup = res.supports["double_sided"]
     assert len(sup.intervals) == 2
-    pooled = res.pooled()
+    pooled = np.concatenate(res.samples_per_trial)
     frac = sup.contains(pooled, slack=0.05).mean()
     lows, highs = _split_bulks(res)
     edges = [(sup.intervals[0][0], lows.min()), (sup.intervals[0][1], lows.max()),
@@ -221,9 +221,10 @@ def test_criterion_6_antenna_saturation():
         phys, iid = sim.run_saturation_experiment(100, m_phys, base, trials=500,
                                                   seed=77)
         if ref is None:
-            ref = iid.pooled()
-        assert phys.pooled().size >= 10_000 and ref.size >= 10_000
-        ks_values.append(ks_2samp(phys.pooled(), ref).statistic)
+            ref = np.concatenate(iid.samples_per_trial)
+        pooled = np.concatenate(phys.samples_per_trial)
+        assert pooled.size >= 10_000 and ref.size >= 10_000
+        ks_values.append(ks_2samp(pooled, ref).statistic)
     monotone = all(a >= b - 1e-12 for a, b in zip(ks_values, ks_values[1:]))
     ok = ks_values[-1] < 0.05 and monotone
     assert _verdict("6", ok, f"KS over M_phys (200,400,600): "
@@ -243,8 +244,9 @@ def test_criterion_6_saturation_at_large_m():
     for m_phys in (10_000, 100_000):
         phys, iid = sim.run_saturation_experiment(100, m_phys, base, trials=500,
                                                   seed=77)
-        assert phys.pooled().size >= 10_000 and iid.pooled().size >= 10_000
-        ks_values.append(ks_2samp(phys.pooled(), iid.pooled()).statistic)
+        pooled, ref = (np.concatenate(r.samples_per_trial) for r in (phys, iid))
+        assert pooled.size >= 10_000 and ref.size >= 10_000
+        ks_values.append(ks_2samp(pooled, ref).statistic)
     elapsed = time.time() - t0
     ok = max(ks_values) < 0.05 and elapsed < 30.0
     assert _verdict("6 (large M)", ok, f"KS at M_phys (1e4, 1e5): "
@@ -271,7 +273,7 @@ def test_criterion_7_distinct_widening():
 
     intf = sim.run_eigen_experiment(equal, 20, 12, terms="interference",
                                     attach_supports=False)
-    pooled = intf.pooled()
+    pooled = np.concatenate(intf.samples_per_trial)
     sup = rmt.support_distinct(5, 4, 400, 1000, 200, P_I).scaled(1000)
     (lo, hi), = sup.intervals
     edge_ok = (abs(lo - pooled.min()) / pooled.min() < 0.10
@@ -285,7 +287,7 @@ def test_criterion_7_distinct_widening():
 
 
 def _physical_fig7_params(m):
-    snr = sim.snr_db_to_signal_power(-5.0)
+    snr = sim.db_to_linear(-5.0)
     return SystemParams(num_antennas=m, users_per_cell=5, num_cells=4,
                         block_length=400, aoa_counts=(50,), signal_power=snr,
                         interference_power=snr, noise_enabled=True,
@@ -296,7 +298,7 @@ def test_criterion_8a_subspace_beats_pilot():
     t0 = time.time()
     res = sim.run_ber_experiment(_physical_fig7_params(100), [-9.0], 200_000, seed=21)
     _BER_WALL_CLOCK["a"] = time.time() - t0
-    s, p = res["subspace"].points[0], res["pilot"].points[0]
+    s, p = res["subspace"][0], res["pilot"][0]
     ok = s.ci_hi < p.ci_lo and s.bits >= 200_000
     assert _verdict("8a", ok,
                     f"subspace {s.ber:.4f} [{s.ci_lo:.4f},{s.ci_hi:.4f}] vs "
@@ -310,14 +312,14 @@ def test_criterion_8b_iid_no_worse_than_physical():
     phys = sim.run_ber_experiment(_physical_fig7_params(100), ratios, 200_000, seed=22)
     iid_params = SystemParams(num_antennas=100, users_per_cell=5, num_cells=4,
                               block_length=400,
-                              signal_power=sim.snr_db_to_signal_power(-5.0),
+                              signal_power=sim.db_to_linear(-5.0),
                               interference_power=1.0, noise_enabled=True,
                               scenario="iid")
     iid = sim.run_ber_experiment(iid_params, ratios, 200_000, seed=22)
     _BER_WALL_CLOCK["b"] = time.time() - t0
     gaps = []
     ok = True
-    for ps, pi_ in zip(phys["subspace"].points, iid["subspace"].points):
+    for ps, pi_ in zip(phys["subspace"], iid["subspace"]):
         ok &= pi_.ber <= ps.ci_hi
         gaps.append(ps.ber - pi_.ber)
     assert _verdict("8b", ok, "physical-minus-iid BER gaps per ratio: "
@@ -326,7 +328,7 @@ def test_criterion_8b_iid_no_worse_than_physical():
 
 def test_criterion_8c_p4_sweep():
     t0 = time.time()
-    snr = sim.snr_db_to_signal_power(-5.0)
+    snr = sim.db_to_linear(-5.0)
     base = SystemParams(num_antennas=200, users_per_cell=5, num_cells=4,
                         block_length=400, aoa_counts=(100, 100, 100, 100),
                         signal_power=snr, interference_power=snr,
@@ -334,8 +336,8 @@ def test_criterion_8c_p4_sweep():
                         scenario="distinct_aoas")
     fam = sim.run_distinct_aoa_ber(base, [10, 20, 50, 100], [-9.0], 200_000, seed=23)
     _BER_WALL_CLOCK["c"] = time.time() - t0
-    subs = [fam[p4]["subspace"].points[0] for p4 in (10, 20, 50, 100)]
-    pils = [fam[p4]["pilot"].points[0] for p4 in (10, 20, 50, 100)]
+    subs = [fam[p4]["subspace"][0] for p4 in (10, 20, 50, 100)]
+    pils = [fam[p4]["pilot"][0] for p4 in (10, 20, 50, 100)]
     # CI-aware nonincreasing: each later point no higher than the earlier
     # point's upper confidence limit
     mono = all(b.ber <= a.ci_hi for a, b in zip(subs, subs[1:]))
@@ -350,7 +352,7 @@ def test_criterion_8c_p4_sweep():
 
 def test_criterion_8d_short_coherence():
     t0 = time.time()
-    p_s = sim.snr_db_to_signal_power(0.0)
+    p_s = sim.db_to_linear(0.0)
     base = SystemParams(num_antennas=200, users_per_cell=15, num_cells=4, block_length=120,
                         signal_power=p_s, interference_power=p_s, noise_enabled=True,
                         scenario="iid")
@@ -359,7 +361,7 @@ def test_criterion_8d_short_coherence():
     parts = []
     ok = True
     for n in (30, 60):
-        s, p = fam[n]["subspace"].points[0], fam[n]["pilot"].points[0]
+        s, p = fam[n]["subspace"][0], fam[n]["pilot"][0]
         ok &= s.ci_hi < p.ci_lo
         parts.append(f"N={n}: {s.ber:.4f} < {p.ber:.4f}")
     total = sum(_BER_WALL_CLOCK.values())

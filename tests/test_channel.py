@@ -270,8 +270,8 @@ def _zeros(rng):
 
 class TestReceivedBlock:
     def test_zero_symbols_zero_output(self):
-        blk = draw_block(_params(), np.random.default_rng(1), _zeros)
-        assert np.all(blk.received == 0)
+        y, _ = draw_block(_params(), np.random.default_rng(1), _zeros)
+        assert np.all(y == 0)
 
     @pytest.mark.parametrize("noise,expect", [(True, 1.875), (False, 0.875)])
     def test_mean_entry_energy(self, noise, expect):
@@ -282,21 +282,20 @@ class TestReceivedBlock:
         count = 0
         n_blocks = 1000 if not noise else 300
         for t in range(n_blocks):
-            blk = draw_block(p, np.random.default_rng((7, t)),
-                             lambda g: crandn(g, 20, 400))
-            total += float((np.abs(blk.received) ** 2).sum())
-            count += blk.received.size
+            y, _ = draw_block(p, np.random.default_rng((7, t)),
+                              lambda g: crandn(g, 20, 400))
+            total += float((np.abs(y) ** 2).sum())
+            count += y.size
         assert total / count == pytest.approx(expect, rel=0.02)
 
     def test_single_cell_column_exact(self):
         p = _params(num_cells=1, aoa_counts=(50,))
         eye = np.concatenate([np.eye(5), np.zeros((5, 395))], axis=1).astype(complex)
-        blk = draw_block(p, np.random.default_rng(3), lambda g: eye)
-        np.testing.assert_allclose(blk.received[:, :5],
-                                   np.sqrt(0.1) * blk.composite, atol=1e-12)
+        y, x = draw_block(p, np.random.default_rng(3), lambda g: eye)
         # the composite is the channel drawn first from the same stream
-        np.testing.assert_array_equal(
-            blk.composite, realize_channel(p, np.random.default_rng(3)).composite)
+        h = realize_channel(p, np.random.default_rng(3)).composite
+        np.testing.assert_allclose(y[:, :5], np.sqrt(0.1) * h, atol=1e-12)
+        np.testing.assert_array_equal(x, eye)
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
@@ -307,7 +306,7 @@ class TestReceivedBlock:
         # reference: sqrt(p_s) H_1 X_1 + sqrt(p_i) sum_{i>=2} H_i X_i + W,
         # summed cell by cell; the builder does one matmul
         p = _params(noise_enabled=True)
-        blk = draw_block(p, np.random.default_rng(5), lambda g: crandn(g, 20, 400))
+        got, sent = draw_block(p, np.random.default_rng(5), lambda g: crandn(g, 20, 400))
         g = np.random.default_rng(5)
         ch = realize_channel(p, g)
         x = crandn(g, 20, 400)
@@ -315,10 +314,11 @@ class TestReceivedBlock:
         for i in range(4):
             power = p.signal_power if i == 0 else p.interference_power
             y += np.sqrt(power) * (ch.composite[:, 5 * i:5 * (i + 1)] @ x[5 * i:5 * (i + 1)])
-        np.testing.assert_allclose(blk.received, y, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(sent, x)
+        np.testing.assert_allclose(got, y, rtol=0, atol=1e-12)
 
     def test_determinism(self):
         p = _params(noise_enabled=True)
-        a = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400))
-        b = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400))
-        np.testing.assert_array_equal(a.received, b.received)
+        a, _ = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400))
+        b, _ = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400))
+        np.testing.assert_array_equal(a, b)

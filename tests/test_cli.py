@@ -127,18 +127,18 @@ class TestRunPreset:
         assert "onesided_signal" in sups and "iid_signal" in sups
         assert (tmp_path / "sup_supports.csv").exists()
 
-    def test_empty_payload_rejected(self, tmp_path):
+    def test_empty_payload_rejected(self):
         with pytest.raises(ConfigError, match="no data"):
-            cli.emit_plot_data({"payload": {}, "config_hash": "x", "seed": 0,
-                                "config": {"label": "x"}}, tmp_path)
+            cli.plot_data({"payload": {}, "config_hash": "x", "seed": 0,
+                           "config": {"label": "x"}})
 
     def test_failure_leaves_no_partial_files(self, tmp_path, monkeypatch):
         cfg = cli.parse_config(_tiny_eigen_cfg())
 
-        def boom(envelope, out_dir):
+        def boom(envelope):
             raise ConfigError("synthetic failure")
 
-        monkeypatch.setattr(cli, "emit_plot_data", boom)
+        monkeypatch.setattr(cli, "plot_data", boom)
         with pytest.raises(ConfigError):
             cli.run_preset(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -243,6 +243,63 @@ def test_runner_config_error_creates_no_directory(preset, override, existing, tm
         assert (out / "keep.txt").read_text() == "kept"
     else:
         assert not (tmp_path / "a").exists()
+
+
+def test_empty_payload_creates_no_directory(tmp_path, capsys):
+    """A run whose output the CSV writer refuses (no nonzero eigenvalue:
+    the selected interference term has zero power) creates no directory."""
+    cfg = dict(kind="eigen", scenario="identical_aoas", num_antennas=32, users_per_cell=2,
+               num_cells=2, block_length=64, aoa_counts=[16], signal_power=0.1,
+               interference_power=0.0, noise_enabled=False, terms="interference",
+               trials=2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "a" / "out"
+    rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err.strip()
+    assert rc == 2
+    assert err == "config error: no data: eigen payload holds no samples"
+    assert not (tmp_path / "a").exists()
+
+
+def test_out_naming_a_file_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(sim, "run_eigen_experiment", boom)
+    out = tmp_path / "out"
+    out.write_text("kept")
+    rc = cli.main(["run", "--preset", "fig3", "--scale", "desk", "--out", str(out)])
+    err = capsys.readouterr().err.strip()
+    assert rc == 2
+    assert err.startswith("config error") and str(out) in err and "not a directory" in err
+    assert len(err.splitlines()) == 1
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("blocked", ["parent-is-file", "csv-is-directory"])
+def test_write_error_is_one_line_and_leaves_no_partial_output(blocked, tmp_path, capsys):
+    """An OSError while writing exits 2 with one line and removes what the
+    run wrote: under a regular file nothing can be made, and a directory in
+    the place of the histogram CSV fails the write after the envelope."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_eigen_cfg()))
+    if blocked == "parent-is-file":
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / "file" / "out"
+    else:
+        out = tmp_path / "out"
+        (out / "tiny_eigen_hist.csv").mkdir(parents=True)
+    rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert rc == 2 and not captured.out
+    assert err.startswith("config error: cannot write output") and str(out) in err
+    assert len(err.splitlines()) == 1
+    if blocked == "parent-is-file":
+        assert (tmp_path / "file").read_text() == "kept"
+    else:
+        assert [p.name for p in out.iterdir()] == ["tiny_eigen_hist.csv"]
 
 
 # one tiny config per kind; payload_pins.json holds the payloads recorded
@@ -406,6 +463,20 @@ BAD_INPUTS = {
                          PIN_CONFIGS["eigen"]),
     "set-n-values-fraction": ("n_values", ["--set", "n_values=[8.5]"],
                               PIN_CONFIGS["ber_short"]),
+    # a BER kind takes its powers from snr_db and ratios_db, and sweeps
+    # no empty list
+    "set-ber-signal-power": ("signal_power", ["--set", "signal_power=0.5"],
+                             PIN_CONFIGS["ber"]),
+    "set-ber-signal-power-db": ("signal_power_db", ["--set", "signal_power_db=0"],
+                                PIN_CONFIGS["ber"]),
+    "set-ber-interference-power": ("interference_power",
+                                   ["--set", "interference_power=0.1"], PIN_CONFIGS["ber"]),
+    "set-ber-interference-power-db": ("interference_power_db",
+                                      ["--set", "interference_power_db=3"],
+                                      PIN_CONFIGS["ber_short"]),
+    "set-m-values-empty": ("m_values", ["--set", "m_values=[]"], PIN_CONFIGS["ber"]),
+    "set-ratios-empty": ("ratios_db", ["--set", "ratios_db=[]"], PIN_CONFIGS["ber_aoa"]),
+    "set-modes-empty": ("modes", ["--set", "modes=[]"], PIN_CONFIGS["support_plot"]),
     # whole --config files
     "config-missing-num-aoas": ("num_aoas", [], {k: v for k, v in PIN_CONFIGS["saturation"].items()
                                                  if k != "num_aoas"}),

@@ -484,6 +484,21 @@ class TestStackedDescent:
             assert laws._eval_implicit(table, np.array([s])).tobytes() == \
                 np.array([laws._eval_implicit(table, s)]).tobytes()
 
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_no_point_is_solved_twice(self, name, monkeypatch):
+        # a scalar takes only its anchor descent; a grid's stacked solve holds
+        # only its warm-started points, not the first, which descends
+        table = self.TABLES[name]()
+        calls = []
+        roots_at = laws._roots_at
+        monkeypatch.setattr(laws, "_roots_at",
+                            lambda t, points: calls.append(len(points)) or roots_at(t, points))
+        laws._eval_implicit(table, complex(0.05, 1e-3))
+        assert len(calls) == 1
+        calls.clear()
+        laws._eval_implicit(table, np.linspace(0.002, 0.25, 400) + 1e-4j)
+        assert calls[0] == 399
+
     def test_ambiguous_step_is_still_refined(self, monkeypatch):
         # G^2 - s^2 has roots +-s: from G = s at s = i, the roots +-1 at s = 1
         # are equally far from G, so the nearest-root choice ties, and only

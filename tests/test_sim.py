@@ -40,7 +40,7 @@ class TestEigenExperiment:
         res = sim.run_eigen_experiment(p, trials=4, seed=0, attach_supports=False)
         for s in res.samples_per_trial:
             assert len(s) == 5
-        pooled = res.pooled()
+        pooled = np.concatenate(res.samples_per_trial)
         assert pooled.max() / pooled.min() < 50  # one bulk, no split
 
     def test_rank_bound_all_terms(self):
@@ -70,14 +70,14 @@ class TestEigenExperiment:
         p = _params()
         res = sim.run_eigen_experiment(p, trials=10, seed=3)
         assert "double_sided" in res.supports
-        pooled = res.pooled()
+        pooled = np.concatenate(res.samples_per_trial)
         inside = res.supports["double_sided"].contains(pooled, slack=0.05)
         assert inside.mean() >= 0.99
 
     def test_two_bulk_structure_desk_scale(self):
         p = _params()
         res = sim.run_eigen_experiment(p, trials=10, seed=4, attach_supports=False)
-        pooled = np.sort(res.pooled())
+        pooled = np.sort(np.concatenate(res.samples_per_trial))
         per_trial = 20
         lows = np.concatenate([np.sort(s)[:15] for s in res.samples_per_trial])
         highs = np.concatenate([np.sort(s)[15:] for s in res.samples_per_trial])
@@ -110,10 +110,9 @@ class TestEigenExperiment:
         # same blocks' eigenvalues through the built composite
         p = _params(scenario=scenario, aoa_counts=counts, users_per_cell=4)
         for t in range(5):
-            block = sim.draw_block(p, sim.trial_rng(9, t),
-                                   lambda rng: sim.crandn(rng, 16, 500))
-            got = sim._product_eigs(block.channel, block.cols, _chol_factor(block))
-            h, x = block.composite, block.scaled
+            channel, amp, x = _noiseless_block(p, sim.trial_rng(9, t))
+            got = sim._product_eigs(channel, slice(None), _chol_factor(amp, x))
+            h, x = channel.composite, amp[:, None] * x
             want = np.sort(np.linalg.eigvals(
                 (h.conj().T @ h / p.num_antennas) @ (x @ x.conj().T)).real)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
@@ -126,20 +125,31 @@ class TestEigenExperiment:
         assert len(res.samples_per_trial[0]) == 50
 
 
-def _product_eigs_reference(block):
-    """Nonzero eigenvalues of (H^H H / M)(X X^H) from the general eigen solve."""
-    m = block.channel.params.num_antennas
-    lam = np.linalg.eigvals(block.channel.gram(block.cols) / m
-                            @ (block.scaled @ block.scaled.conj().T))
+def _noiseless_block(p, rng):
+    """The channel, sqrt(powers) and K*L x N CN(0,1) symbols of a noiseless
+    ``sim.draw_block``, drawn in its order: the channel, then the symbols."""
+    channel = sim.realize_channel(p, rng)
+    x = sim.crandn(rng, p.users_per_cell * p.num_cells, p.block_length)
+    amp = np.sqrt(sim.worst_case_power_diagonal(p.users_per_cell, p.num_cells,
+                                                p.signal_power, p.interference_power))
+    return channel, amp, x
+
+
+def _product_eigs_reference(channel, amp, x):
+    """Nonzero eigenvalues of (H^H H / M)(X X^H), X scaled by ``amp``, from
+    the general eigen solve."""
+    m = channel.params.num_antennas
+    scaled = amp[:, None] * x
+    lam = np.linalg.eigvals(channel.gram(slice(None)) / m
+                            @ (scaled @ scaled.conj().T))
     lam = np.sort(lam.real)
     return lam[lam > sim.NONZERO_EIG_RTOL * lam.max()]
 
 
-def _chol_factor(block):
+def _chol_factor(amp, x):
     """diag(sqrt(p)) chol(X X^H) of a drawn block: a factor of its scaled
     symbol Gram."""
-    x = block.symbols
-    return block.amplitudes[:, None] * np.linalg.cholesky(x @ x.conj().T)
+    return amp[:, None] * np.linalg.cholesky(x @ x.conj().T)
 
 
 class TestHermitianProductSolve:
@@ -157,10 +167,9 @@ class TestHermitianProductSolve:
     def test_matches_general_eigen_solve_on_figure_shapes(self, shape):
         p = _params(**self.FIG, **shape)
         for t in range(3):
-            block = sim.draw_block(p, sim.trial_rng(21, t),
-                                   lambda rng: sim.crandn(rng, 20, 1000))
-            got = sim._product_eigs(block.channel, block.cols, _chol_factor(block))
-            want = _product_eigs_reference(block)
+            channel, amp, x = _noiseless_block(p, sim.trial_rng(21, t))
+            got = sim._product_eigs(channel, slice(None), _chol_factor(amp, x))
+            want = _product_eigs_reference(channel, amp, x)
             assert got.shape == want.shape == (20,)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -204,18 +213,17 @@ class TestBartlettFactor:
                           self.DOF)
 
     def test_trial_matches_direct_symbol_path(self):
-        # Bartlett trials against draw_block trials (C x N symbols, general
-        # eigen solve): one two-sample KS test per eigenvalue rank, whose
-        # values are independent across trials
+        # Bartlett trials against trials drawn as draw_block draws them (C x N
+        # symbols, general eigen solve): one two-sample KS test per eigenvalue
+        # rank, whose values are independent across trials
         from scipy.stats import ks_2samp
         p = _params(num_antennas=16, users_per_cell=2, num_cells=2, block_length=8,
                     aoa_counts=(12,))
         trials = 2000
         new = np.array(sim.run_eigen_experiment(p, trials, 3, attach_supports=False)
                        .samples_per_trial)
-        direct = np.array([_product_eigs_reference(sim.draw_block(
-            p, sim.trial_rng(1003, t), lambda rng: sim.crandn(rng, 4, 8)))
-            for t in range(trials)])
+        direct = np.array([_product_eigs_reference(
+            *_noiseless_block(p, sim.trial_rng(1003, t))) for t in range(trials)])
         assert new.shape == direct.shape == (trials, 4)
         pvalues = [ks_2samp(new[:, j], direct[:, j]).pvalue for j in range(4)]
         assert min(pvalues) > self.KS_PMIN, pvalues
@@ -250,16 +258,21 @@ class TestSaturationExperiment:
         from scipy.stats import ks_2samp
         p = _params(num_antennas=100, block_length=300, aoa_counts=(50,))
         phys, iid = sim.run_saturation_experiment(100, 100, p, 40, 0)
-        ks = ks_2samp(phys.pooled(), iid.pooled()).statistic
+        ks = ks_2samp(np.concatenate(phys.samples_per_trial),
+                      np.concatenate(iid.samples_per_trial)).statistic
         assert 0.0 <= ks <= 1.0
 
-    def test_pools_have_expected_sizes(self):
+    def test_pools_have_expected_sizes(self, monkeypatch):
         p = _params(num_antennas=100, block_length=300, aoa_counts=(50,))
+        runs = []
+        run = sim.run_eigen_experiment
+        monkeypatch.setattr(sim, "run_eigen_experiment",
+                            lambda q, *a, **kw: runs.append(q) or run(q, *a, **kw))
         phys, iid = sim.run_saturation_experiment(60, 120, p, 10, 1)
-        assert phys.pooled().size == 10 * 20
-        assert iid.pooled().size == 10 * 20
-        assert phys.params.num_antennas == 120
-        assert iid.params.num_antennas == 60
+        assert np.concatenate(phys.samples_per_trial).size == 10 * 20
+        assert np.concatenate(iid.samples_per_trial).size == 10 * 20
+        assert runs[0].num_antennas == 120
+        assert runs[1].num_antennas == 60
 
 
 class TestBerExperiment:
@@ -268,19 +281,19 @@ class TestBerExperiment:
         # sub-1e-3 sanity bound needs the rich-scattering channel
         p = SystemParams(num_antennas=128, users_per_cell=5, num_cells=1,
                          block_length=200,
-                         signal_power=sim.snr_db_to_signal_power(20.0),
+                         signal_power=sim.db_to_linear(20.0),
                          interference_power=0.0, noise_enabled=True,
                          scenario="iid")
         res = sim.run_ber_experiment(p, [-300.0], bits_target=10_000, seed=0)
-        assert res["subspace"].points[0].ber < 1e-3
-        assert res["pilot"].points[0].ber < 1e-3
+        assert res["subspace"][0].ber < 1e-3
+        assert res["pilot"][0].ber < 1e-3
 
     def test_ber_range_and_ci_shape(self):
         p = _params(noise_enabled=True, signal_power=0.3,
                     num_antennas=64, block_length=120, aoa_counts=(40,))
         res = sim.run_ber_experiment(p, [-9.0, -3.0], bits_target=20_000, seed=1)
         for scheme in ("subspace", "pilot"):
-            for pt in res[scheme].points:
+            for pt in res[scheme]:
                 assert 0.0 <= pt.ci_lo <= pt.ber <= pt.ci_hi
                 assert pt.ber <= 0.55
                 assert pt.bits >= 20_000
@@ -290,8 +303,8 @@ class TestBerExperiment:
                     block_length=120, aoa_counts=(40,))
         a = sim.run_ber_experiment(p, [-6.0], bits_target=15_000, seed=5)
         b = sim.run_ber_experiment(p, [-6.0], bits_target=15_000, seed=5)
-        assert a["subspace"].points[0].ber == b["subspace"].points[0].ber
-        assert a["pilot"].points[0].ber == b["pilot"].points[0].ber
+        assert a["subspace"][0].ber == b["subspace"][0].ber
+        assert a["pilot"][0].ber == b["pilot"][0].ber
 
     def test_ci_meta_coverage(self):
         # 20 independent runs of a cheap config: each run's 95% CI should
@@ -300,10 +313,10 @@ class TestBerExperiment:
                     block_length=150, aoa_counts=(24,))
         runs = [sim.run_ber_experiment(p, [-6.0], bits_target=30_000, seed=100 + i)
                 for i in range(20)]
-        bers = np.array([r["subspace"].points[0].ber for r in runs])
+        bers = np.array([r["subspace"][0].ber for r in runs])
         grand = bers.mean()
-        covered = sum(r["subspace"].points[0].ci_lo <= grand
-                      <= r["subspace"].points[0].ci_hi for r in runs)
+        covered = sum(r["subspace"][0].ci_lo <= grand
+                      <= r["subspace"][0].ci_hi for r in runs)
         assert covered >= 16
 
     def test_ci_shrinks_with_bits(self):
@@ -311,7 +324,7 @@ class TestBerExperiment:
                     block_length=150, aoa_counts=(24,))
         small = sim.run_ber_experiment(p, [-6.0], bits_target=15_000, seed=2)
         large = sim.run_ber_experiment(p, [-6.0], bits_target=120_000, seed=2)
-        width = lambda r: r.points[0].ci_hi - r.points[0].ci_lo
+        width = lambda r: r[0].ci_hi - r[0].ci_lo
         assert width(large["subspace"]) < width(small["subspace"])
 
 
@@ -326,8 +339,8 @@ class TestDistinctAndShortCoherence:
         # p4 equal to the shared count reproduces the plain distinct run
         # within CI (independent seeds, same distribution)
         direct = sim.run_ber_experiment(base, [-9.0], 15_000, seed=4)
-        p50 = fam[50]["subspace"].points[0]
-        ref = direct["subspace"].points[0]
+        p50 = fam[50]["subspace"][0]
+        ref = direct["subspace"][0]
         lo = min(p50.ci_lo, ref.ci_lo) - 1e-9
         hi = max(p50.ci_hi, ref.ci_hi) + 1e-9
         assert lo <= p50.ber <= hi and lo <= ref.ber <= hi
@@ -345,7 +358,7 @@ class TestDistinctAndShortCoherence:
         assert set(fam) == {30, 60}
         for n, res in fam.items():
             for scheme in ("subspace", "pilot"):
-                assert 0.0 <= res[scheme].points[0].ber <= 0.55
+                assert 0.0 <= res[scheme][0].ber <= 0.55
 
 
 class TestSaturationShapeBattery:
@@ -355,11 +368,11 @@ class TestSaturationShapeBattery:
         for m in (100, 200, 400):
             p = SystemParams(num_antennas=m, users_per_cell=5, num_cells=4,
                              block_length=400, aoa_counts=(50,),
-                             signal_power=sim.snr_db_to_signal_power(-5.0),
+                             signal_power=sim.db_to_linear(-5.0),
                              interference_power=0.0, noise_enabled=True,
                              spacing_ratio=0.5, scenario="identical_aoas")
             res = sim.run_ber_experiment(p, [-9.0], bits_target=200_000, seed=9)
-            bers.append(res["subspace"].points[0].ber)
+            bers.append(res["subspace"][0].ber)
         assert bers[0] >= bers[1] >= bers[2]
         assert (bers[1] - bers[2]) < (bers[0] - bers[1])
 
