@@ -171,6 +171,9 @@ def parse_config(raw: dict) -> dict:
     kind = raw.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"config.kind={kind!r}; expected one of {sorted(KINDS)}")
+    for power in _POWERS:
+        if power in raw and f"{power}_db" in raw:
+            raise ConfigError(f"config gives both {power} and {power}_db; expected one")
     cfg = {k[:-3] if k in _DB_KEYS else k: sim.db_to_linear(v) if k in _DB_KEYS else v
            for k, v in _checked(raw, {**_COMMON_TYPES, **KINDS[kind][0]}, "config").items()}
     if cfg["seed"] < 0:
@@ -185,18 +188,25 @@ def parse_config(raw: dict) -> dict:
 
 def load_config(preset: str | None, config_path: str | None, scale: str,
                 overrides: dict) -> dict:
+    """The checked config of a preset, a config file and ``--set`` overrides,
+    each layer over the ones before it."""
     if preset is None and config_path is None:
         raise ConfigError("either --preset or --config is required")
-    raw: dict = {}
+    layers = []
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
-        raw.update(PRESETS[preset])
-        if scale == "desk":
-            raw = _desk_scale(raw)
+        layers.append(_desk_scale(PRESETS[preset]) if scale == "desk" else PRESETS[preset])
     if config_path is not None:
-        raw.update(_load_json_object(config_path, "config"))
-    raw.update(overrides)
+        layers.append(_load_json_object(config_path, "config"))
+    layers.append(overrides)
+    raw: dict = {}
+    for layer in layers:
+        for power in _POWERS:  # a layer that gives a power replaces both its forms
+            if power in layer or f"{power}_db" in layer:
+                raw.pop(power, None)
+                raw.pop(f"{power}_db", None)
+        raw.update(layer)
     return parse_config(raw)
 
 

@@ -6,23 +6,94 @@ on the shared pilot prefix to resolve the remaining K x K ambiguity, then
 matched-filter QPSK detection on the projected data.  The baseline
 estimates the full antenna-domain channel by least squares on the same
 pilots and matched-filters in antenna space.
+
+Nothing here loads ``scipy.linalg``: the pilot is the DFT matrix built with
+scipy's own expression, and the top eigenpairs of the Gram come from
+``LAPACKE_zheevr`` (MRRR; Dhillon, Parlett & Vomel, ACM TOMS 2006) of the
+OpenBLAS bundled with scipy, called through ctypes with the arguments
+``scipy.linalg.eigh(subset_by_index=...)`` passes to it, so the results
+are the same to the bit.  Only where no bundled library exports that
+routine does the solve import ``scipy.linalg.eigh``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 QPSK_SCALE = 1.0 / np.sqrt(2.0)
 # The Gram matrix squares the condition number: the K-th vector it gives is
 # off by about eps * (sigma_1 / sigma_K)^2, 2e-10 at this ratio.  Below it
 # (rank-deficient or nearly so blocks) the subspace comes from the full SVD.
 GRAM_RTOL = 1e-3
+_LAPACK_COL_MAJOR = 102
+
+
+@cache
+def bundled_openblas() -> tuple:
+    """The OpenBLAS builds bundled with numpy (``numpy.libs``, 64-bit
+    interface) and scipy (``scipy.libs``, LP64), opened with ctypes; empty
+    when neither is found, e.g. for a numpy linked against another BLAS."""
+    libs = []
+    for module in (np, scipy):
+        site = Path(module.__file__).resolve().parents[1]
+        for path in sorted(site.glob(f"{module.__name__}.libs/libscipy_openblas*.so")):
+            try:
+                libs.append(ctypes.CDLL(str(path)))
+            except OSError:
+                continue
+    return tuple(libs)
+
+
+@cache
+def _lapacke_zheevr():
+    """``LAPACKE_zheevr`` of the bundled LP64 OpenBLAS, or None."""
+    for lib in bundled_openblas():
+        fn = getattr(lib, "scipy_LAPACKE_zheevr", None)
+        if fn is not None:
+            c = ctypes
+            fn.argtypes = [c.c_int, c.c_char, c.c_char, c.c_char, c.c_int, c.c_void_p,
+                           c.c_int, c.c_double, c.c_double, c.c_int, c.c_int, c.c_double,
+                           c.POINTER(c.c_int), c.c_void_p, c.c_void_p, c.c_int, c.c_void_p]
+            fn.restype = c.c_int
+            return fn
+    return None
+
+
+def _top_eigenpairs(gram: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs lo..r-1 (ascending) of the r x r Hermitian ``gram``, from
+    its lower triangle: what ``scipy.linalg.eigh(gram,
+    subset_by_index=[lo, r-1])`` returns, with its finite check."""
+    if not np.isfinite(gram).all():
+        raise NumericalError("the received block's Gram matrix is not finite")
+    r = gram.shape[0]
+    zheevr = _lapacke_zheevr()
+    if zheevr is None:
+        from scipy.linalg import eigh
+
+        try:
+            return eigh(gram, subset_by_index=[lo, r - 1])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
+    a = np.array(gram, dtype=np.complex128, order="F")
+    w = np.empty(r)
+    v = np.empty((r, r - lo), dtype=np.complex128, order="F")
+    isuppz = np.empty(2 * (r - lo), dtype=np.int32)
+    found = ctypes.c_int()
+    info = zheevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", r, a.ctypes.data, r, 0.0, 0.0,
+                  lo + 1, r, 0.0, ctypes.byref(found), w.ctypes.data, v.ctypes.data, r,
+                  isuppz.ctypes.data)
+    if info != 0:
+        raise NumericalError(f"Hermitian eigensolver failed: LAPACKE_zheevr info={info}")
+    return w[:found.value], v[:, :found.value]
 
 
 @dataclass
@@ -54,9 +125,8 @@ class PilotLayout:
 
     @cached_property
     def _pilot(self) -> np.ndarray:
-        from scipy.linalg import dft  # scipy.linalg loads only for BER runs
-
-        pilot = dft(self.num_users)
+        k = self.num_users  # scipy.linalg.dft(k), by scipy's own expression
+        pilot = np.exp(-2j * np.pi * np.arange(k) / k).reshape(-1, 1) ** np.arange(k)
         pilot.flags.writeable = False
         return pilot
 
@@ -76,17 +146,16 @@ def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
 
     Solved on the smaller Gram side: the top K+1 eigenpairs of Y Y^H when
     M <= N, else of Y^H Y with the vectors lifted as Y V Sigma^-1.  When
-    sigma_K <= GRAM_RTOL * sigma_1 the full SVD is used instead.
+    sigma_K <= GRAM_RTOL * sigma_1 the full SVD is used instead.  A
+    non-finite block or a failed solve is a NumericalError.
     """
-    from scipy.linalg import eigh
-
     m, n = y.shape
     k, r = num_users, min(m, n)
     if k > r:
         raise ConfigError(f"num_users={k} exceeds min(M, N)={r}")
     left = m <= n
     gram = y @ y.conj().T if left else y.conj().T @ y
-    w, v = eigh(gram, subset_by_index=[r - min(k + 1, r), r - 1])
+    w, v = _top_eigenpairs(gram, r - min(k + 1, r))
     sv = np.sqrt(np.maximum(w[::-1], 0.0))
     if sv[k - 1] <= GRAM_RTOL * sv[0]:
         u, sv, _ = np.linalg.svd(y, full_matrices=False)

@@ -22,16 +22,15 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import rmt
 from .channel import ChannelRealization, SystemParams, crandn, realize_channel
 from .errors import ConfigError
 from .estimation import (
     PilotLayout,
+    bundled_openblas,
     count_bit_errors,
     estimate_subspace_channel,
     mf_detect,
@@ -63,25 +62,19 @@ def _workers() -> int:
 
 @functools.cache
 def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS builds bundled with
-    numpy (64-bit interface, ``64_`` suffix) and scipy; empty when neither is
-    found, e.g. for a numpy linked against another BLAS."""
+    """(get, set) thread-count functions of the bundled OpenBLAS builds
+    (numpy's with the ``64_`` suffix, scipy's without); empty when none is
+    found."""
     controls = []
-    for module, libdir in ((np, "numpy.libs"), (scipy, "scipy.libs")):
-        site = Path(module.__file__).resolve().parents[1]
-        for path in sorted((site / libdir).glob("libscipy_openblas*.so")):
-            try:
-                lib = ctypes.CDLL(str(path))
-            except OSError:
-                continue
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-                    break
+    for lib in bundled_openblas():
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
     return tuple(controls)
 
 

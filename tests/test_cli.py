@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimospectra import cli, rmt, sim
+from mimospectra import cli, estimation, rmt, sim
 from mimospectra.channel import SystemParams
 from mimospectra.errors import ConfigError, NumericalError
 
@@ -26,6 +26,18 @@ class TestParseConfig:
         assert sysp.signal_power == pytest.approx(10 ** -1.0)
         assert sysp.interference_power == pytest.approx(10 ** -1.6)
         assert sysp.spacing_ratio == 2.0 and not sysp.noise_enabled
+
+    def test_later_layer_replaces_both_power_forms(self, tmp_path):
+        """A layer that gives a power in either form replaces both forms from
+        the layers before it: fig3's dB powers, a config file, --set."""
+        cfg = cli.load_config("fig3", None, "desk", {"signal_power": 0.5})
+        assert cfg["_system"].signal_power == 0.5
+        assert cfg["_system"].interference_power == sim.db_to_linear(-16.0)
+        path = tmp_path / "layer.json"
+        path.write_text(json.dumps({"signal_power": 0.5, "interference_power": 0.01}))
+        cfg = cli.load_config("fig3", str(path), "desk", {"signal_power_db": -3.0})
+        assert cfg["_system"].signal_power == sim.db_to_linear(-3.0)
+        assert cfg["_system"].interference_power == 0.01
 
     def test_fig7_preset_values(self):
         cfg = cli.parse_config(dict(cli.PRESETS["fig7"]))
@@ -492,6 +504,25 @@ BAD_INPUTS = {
     "stieltjes-iid-string": ("p_s", ["stieltjes", "--law", "iid"],
                              dict(p_s="x", alpha=0.0125, gamma=0.005)),
 }
+
+
+def _both_power_forms() -> dict:
+    """One layer (a config file, or the --set list over a config without
+    powers) that gives a power in both forms, in either key order."""
+    base = {k: v for k, v in PIN_CONFIGS["eigen"].items() if not k.endswith("power_db")}
+    cases = {}
+    for power in ("signal_power", "interference_power"):
+        for pair in ([(power, 0.5), (f"{power}_db", -10.0)],
+                     [(f"{power}_db", -10.0), (power, 0.5)]):
+            name = f"both-{pair[0][0]}-first"
+            cases[f"config-{name}"] = (f"{power}_db", [], dict(base, **dict(pair)))
+            cases[f"set-{name}"] = (f"{power}_db", [arg for key, val in pair
+                                                    for arg in ("--set", f"{key}={val}")],
+                                    base)
+    return cases
+
+
+BAD_INPUTS.update(_both_power_forms())
 # a non-finite point s, for each law of the stieltjes subcommand
 _STIELTJES_LAWS = {"mp": dict(ratio=0.5), "onesided": dict(scale=0.1, inner_dim=5, m=400,
                                                            n=1000, p=200),
@@ -564,15 +595,39 @@ def test_payload_bytes_invariant_to_thread_settings(kind, tmp_path):
     assert outputs["blas1"] == outputs["blas2"] == outputs["workers2"]
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    """Start-up cost: the CLI and the laws load no scipy.linalg; only the BER
-    estimators import it, on first use."""
+def test_import_leaves_scipy_linalg_unloaded(tmp_path):
+    """Start-up and memory cost: neither the CLI and the laws on import nor a
+    whole BER run load scipy.linalg; the run solves its eigenpairs with the
+    LAPACKE_zheevr of scipy's bundled OpenBLAS and builds its DFT pilot in
+    numpy."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(PIN_CONFIGS["ber"], label="t")))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, mimospectra.cli, mimospectra.rmt\n"
-            "print('scipy.linalg' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+            "print('scipy.linalg' in sys.modules)\n"
+            "rc = mimospectra.cli.main(sys.argv[1:])\n"
+            "print(rc, 'scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, "run", "--config", str(config),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert (tmp_path / "out" / "t_result.json").exists()
+    assert lines[-1] == "0 False"
+
+
+def test_failed_eigensolve_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    """A LAPACK failure in the subspace solve is a numerical failure, not a
+    traceback."""
+    monkeypatch.setattr(estimation, "_lapacke_zheevr", lambda: lambda *args: 1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(PIN_CONFIGS["ber"]))
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--config", str(config), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3 and not captured.out and not out.exists()
+    err = captured.err.strip()
+    assert err == "numerical failure: Hermitian eigensolver failed: LAPACKE_zheevr info=1"

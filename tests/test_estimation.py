@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import subspace_angles
 
+from mimospectra import estimation, sim
 from mimospectra.channel import SystemParams, crandn, realize_channel
-from mimospectra.errors import ConfigError
+from mimospectra.errors import ConfigError, NumericalError
 from mimospectra.estimation import (
     PilotLayout,
     count_bit_errors,
@@ -130,6 +132,90 @@ class TestGramSideSubspace:
             u = signal_subspace(np.zeros((8, 5), dtype=complex), 2)
         assert np.isfinite(u).all()
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+
+
+def _ber_block(seed, scenario, m, n, k, aoa_counts=()):
+    """One received BER block at 0 dB SNR and ratio, drawn as the runner does."""
+    params = SystemParams(num_antennas=m, users_per_cell=k, num_cells=4, block_length=n,
+                          aoa_counts=aoa_counts, signal_power=1.0, interference_power=1.0,
+                          noise_enabled=True, spacing_ratio=0.5, scenario=scenario)
+    layout = PilotLayout(num_users=k, block_length=n)
+
+    def draw_symbols(rng):
+        return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(4)])
+
+    return sim.draw_block(params, np.random.default_rng(seed), draw_symbols)[0]
+
+
+@pytest.fixture
+def fresh_lookup():
+    """Clear the cached solver lookup around a test that patches it."""
+    estimation._lapacke_zheevr.cache_clear()
+    yield
+    estimation._lapacke_zheevr.cache_clear()
+
+
+class TestHermitianSolver:
+    """The top eigenpairs come from the bundled LAPACKE_zheevr, bitwise equal
+    to scipy.linalg.eigh(subset_by_index=...), which calls the same routine."""
+
+    # fig7 at desk scale (200 x 400, K = 5, left Gram) and fig9 (200 x N,
+    # K = 15, right Gram); then K + 1 = min(M, N) and K + 1 > min(M, N),
+    # where every eigenpair is taken
+    SHAPES = [("identical_aoas", 200, 400, 5, (100,)), ("iid", 200, 30, 15, ()),
+              ("iid", 200, 60, 15, ()), ("iid", 200, 120, 15, ()),
+              ("iid", 40, 16, 15, ()), ("iid", 15, 40, 15, ())]
+
+    @pytest.mark.parametrize("scenario,m,n,k,aoas", SHAPES)
+    def test_bitwise_equal_to_scipy_eigh(self, scenario, m, n, k, aoas):
+        for seed in range(3):
+            y = _ber_block(seed, scenario, m, n, k, aoas)
+            gram = y @ y.conj().T if m <= n else y.conj().T @ y
+            r = min(m, n)
+            lo = r - min(k + 1, r)
+            w, v = estimation._top_eigenpairs(gram, lo)
+            w_ref, v_ref = scipy.linalg.eigh(gram, subset_by_index=[lo, r - 1])
+            assert w.tobytes() == w_ref.tobytes() and w.shape == (r - lo,)
+            assert v.tobytes() == v_ref.tobytes() and v.strides == v_ref.strides
+
+    def test_bundled_solver_found(self):
+        assert estimation._lapacke_zheevr() is not None
+
+    @pytest.mark.parametrize("m,n,k", [(200, 400, 5), (200, 60, 15), (15, 40, 15)])
+    def test_fallback_gives_same_subspace(self, m, n, k, fresh_lookup, monkeypatch):
+        y = _ber_block(1, "iid", m, n, k)
+        bundled = signal_subspace(y, k)
+        monkeypatch.setattr(estimation, "bundled_openblas", lambda: ())
+        estimation._lapacke_zheevr.cache_clear()
+        assert estimation._lapacke_zheevr() is None
+        assert signal_subspace(y, k).tobytes() == bundled.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bundled", [True, False])
+    def test_non_finite_block_is_numerical_error(self, rng, bad, bundled, monkeypatch):
+        if not bundled:
+            monkeypatch.setattr(estimation, "_lapacke_zheevr", lambda: None)
+        y = crandn(rng, 8, 16)
+        y[3, 5] = bad
+        with pytest.raises(NumericalError, match="not finite") as info:
+            signal_subspace(y, 2)
+        assert len(str(info.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("code", [-1010, 1])
+    def test_lapack_info_is_numerical_error(self, rng, code, monkeypatch):
+        monkeypatch.setattr(estimation, "_lapacke_zheevr", lambda: lambda *args: code)
+        with pytest.raises(NumericalError, match=f"info={code}$") as info:
+            signal_subspace(crandn(rng, 8, 16), 2)
+        assert len(str(info.value).splitlines()) == 1
+
+    def test_pilot_is_scipy_dft(self):
+        for k in range(1, 17):
+            pilot = PilotLayout(num_users=k, block_length=k + 1).pilot_block()
+            want = scipy.linalg.dft(k)
+            assert pilot.dtype == want.dtype and pilot.shape == want.shape
+            assert pilot.tobytes() == want.tobytes()
+            assert not pilot.flags.writeable
 
 
 class TestZfResolve:
