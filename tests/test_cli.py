@@ -523,6 +523,7 @@ def _both_power_forms() -> dict:
 
 
 BAD_INPUTS.update(_both_power_forms())
+
 # a non-finite point s, for each law of the stieltjes subcommand
 _STIELTJES_LAWS = {"mp": dict(ratio=0.5), "onesided": dict(scale=0.1, inner_dim=5, m=400,
                                                            n=1000, p=200),
