@@ -247,8 +247,8 @@ def _run_saturation(cfg: dict, params: SystemParams) -> dict:
     return {"saturation": {"physical": _eigen_payload(phys), "iid": _eigen_payload(iid)}}
 
 
-# support_plot mode -> the sim.law_support names it writes; the i.d. mode
-# leaves its interference law out of a run without interference
+# support_plot mode -> the sim.law_support names it writes; a run without
+# interference leaves every interference law out
 _SUPPORT_MODES = {"onesided": ("one_sided_signal", "one_sided_interference"),
                   "double": ("double_sided",), "iid": ("iid_signal", "iid_interference")}
 
@@ -259,7 +259,7 @@ def _run_support_plot(cfg: dict, params: SystemParams) -> dict:
         if mode not in _SUPPORT_MODES:
             raise ConfigError(f"unknown support mode {mode!r}")
         for name in _SUPPORT_MODES[mode]:
-            if name == "iid_interference" and not sim.has_interference(params):
+            if name.endswith("_interference") and not sim.has_interference(params):
                 continue
             sup = sim.law_support(params, name)
             out[name.replace("one_sided", "onesided")] = _support_payload(sup)
@@ -283,6 +283,15 @@ def _iid(params: SystemParams) -> dict[str, SystemParams]:
     return {"iid": dataclasses.replace(params, scenario="iid", aoa_counts=())}
 
 
+def _aoa_family(cfg: dict, params: SystemParams) -> dict[str, SystemParams]:
+    """ber_aoa family: the shared AoA count set to each P, and the i.d. reference."""
+    if params.scenario == "iid":
+        raise ConfigError("AoA-count sweep (p_values) needs AoAs; scenario 'iid' has none")
+    return {**{f"P={c}": dataclasses.replace(params, aoa_counts=(c,) * params.num_cells)
+               for c in cfg["p_values"]},
+            **(_iid(params) if cfg["include_iid"] else {})}
+
+
 _BER_TYPES = {"ratios_db": list[float], "snr_db": float, "bits_target": int,
               "noise_enabled": (bool, True)}
 
@@ -297,10 +306,7 @@ KINDS = {
            for m in cfg.get("m_values", [p.num_antennas])},
         **_iid(p)})),
     "ber_aoa": ({**_BER_TYPES, "p_values": list[int], "include_iid": (bool, True)},
-                _ber_runner(lambda cfg, p: {
-                    **{f"P={c}": dataclasses.replace(p, aoa_counts=(c,) * p.num_cells)
-                       for c in cfg["p_values"]},
-                    **(_iid(p) if cfg["include_iid"] else {})})),
+                _ber_runner(_aoa_family)),
     "ber_distinct": ({**_BER_TYPES, "p4_values": list[int]}, _ber_runner(lambda cfg, p: {
         f"P4={p4}": q for p4, q in sim.distinct_aoa_variants(p, cfg["p4_values"]).items()})),
     "ber_short": ({**_BER_TYPES, "n_values": list[int]}, _ber_runner(lambda cfg, p: {
@@ -326,14 +332,14 @@ def run_preset(cfg: dict, out_dir: Path) -> Path:
     out_dir = Path(out_dir)
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"output path {out_dir} exists and is not a directory")
-    t0 = time.time()
+    t0 = time.perf_counter()
     payload = KINDS[cfg["kind"]][1](cfg, cfg["_system"])
     envelope = {
         "config": {k: v for k, v in cfg.items() if not k.startswith("_")},
         "config_hash": config_hash(cfg),
         "library_version": __version__,
         "seed": cfg["seed"],
-        "wall_clock_s": round(time.time() - t0, 3),
+        "wall_clock_s": round(time.perf_counter() - t0, 3),
         "payload": payload,
     }
     env_name = f"{cfg['label']}_result.json"

@@ -2,27 +2,18 @@
 
 from .laws import (
     DoubleSidedParams,
-    MixtureComponent,
     OneSidedParams,
     density_from_stieltjes,
     double_sided_residual,
-    equal_aoa_mixture,
     iid_limit_residual,
-    mixture_stieltjes,
-    mp_density,
-    mp_s_transform,
     mp_stieltjes,
     onesided_residual,
-    s_stieltjes_link_check,
-    s_transform_two_mass,
     stieltjes_double_sided,
     stieltjes_iid_limit,
     stieltjes_onesided,
-    two_mass_stieltjes,
 )
 from .support import (
     SpectralSupport,
-    TruncationReport,
     support_distinct,
     support_double_sided,
     support_iid,
@@ -31,21 +22,13 @@ from .support import (
 
 __all__ = [
     "DoubleSidedParams",
-    "MixtureComponent",
     "OneSidedParams",
     "SpectralSupport",
-    "TruncationReport",
     "density_from_stieltjes",
     "double_sided_residual",
-    "equal_aoa_mixture",
     "iid_limit_residual",
-    "mixture_stieltjes",
-    "mp_density",
-    "mp_s_transform",
     "mp_stieltjes",
     "onesided_residual",
-    "s_stieltjes_link_check",
-    "s_transform_two_mass",
     "stieltjes_double_sided",
     "stieltjes_iid_limit",
     "stieltjes_onesided",
@@ -53,5 +36,4 @@ __all__ = [
     "support_double_sided",
     "support_iid",
     "support_onesided",
-    "two_mass_stieltjes",
 ]

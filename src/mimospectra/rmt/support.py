@@ -73,19 +73,6 @@ class SpectralSupport:
         return SpectralSupport([(lo * factor, hi * factor) for lo, hi in self.intervals],
                                self.truncation)
 
-    def contains(self, x, slack: float = 0.0) -> np.ndarray:
-        """Membership mask with endpoint-relative dilation ``slack``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mask = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            mask |= (x >= lo * (1.0 - slack)) & (x <= hi * (1.0 + slack))
-        return mask
-
-    @property
-    def gap_widths(self) -> list[float]:
-        return [b0 - a1 for (a0, a1), (b0, b1) in zip(self.intervals[:-1],
-                                                      self.intervals[1:])]
-
 
 # ---------------------------------------------------------------------------
 # scan internals

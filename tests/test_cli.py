@@ -433,6 +433,16 @@ def test_support_plot_intervals_equal_eigen_overlays(tmp_path):
     assert plot["double_sided"] == eigen["double_sided"]
 
 
+@pytest.mark.parametrize("base", [dict(_PIN_NO_DB, interference_power=0.0),
+                                  dict(_PIN_SPECTRA, num_cells=1)], ids=["no-power", "one-cell"])
+def test_support_plot_onesided_without_interference_writes_signal_alone(base, tmp_path):
+    full = _run_payload(dict(_PIN_SPECTRA, kind="support_plot", modes=["onesided"]),
+                        tmp_path / "full")["supports"]
+    plot = _run_payload(dict(base, kind="support_plot", modes=["onesided"]),
+                        tmp_path / "plot")["supports"]
+    assert plot == {"onesided_signal": full["onesided_signal"]}
+
+
 def test_ber_short_honours_config_noise(tmp_path):
     raw = dict(PIN_CONFIGS["ber_short"], noise_enabled=False)
     got = _run_payload(raw, tmp_path)["ber"]
@@ -493,6 +503,8 @@ BAD_INPUTS = {
     "config-missing-num-aoas": ("num_aoas", [], {k: v for k, v in PIN_CONFIGS["saturation"].items()
                                                  if k != "num_aoas"}),
     "config-p-values-scalar": ("p_values", [], dict(PIN_CONFIGS["ber_aoa"], p_values=4)),
+    # the i.d. channel has no AoAs, so every P of the sweep would run the same
+    "config-ber-aoa-iid": ("scenario", [], dict(PIN_CONFIGS["ber_aoa"], scenario="iid")),
     "config-users-list": ("users_per_cell", [], dict(PIN_CONFIGS["eigen"], users_per_cell=[2])),
     # law-parameter files
     "support-double-power-string": ("p_signal", ["support", "--mode", "double"],

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import crandn, onesided_product_eigs, steering
 from mimospectra import rmt
 from mimospectra.errors import ConfigError
@@ -146,18 +148,18 @@ class TestIidLimit:
 class TestTwoMass:
     def test_equal_powers_constant(self):
         for z in (0.1, 0.8 + 0.2j, -0.4 + 0.05j, 3.0):
-            s_val = rmt.s_transform_two_mass(z, 0.1, 0.1, 4)
+            s_val = oracles.s_transform_two_mass(z, 0.1, 0.1, 4)
             assert abs(s_val - 10.0) < 1e-10
 
     def test_zero_argument_limit(self):
         expected = 4 / (0.1 + 3 * 0.025)
-        assert abs(rmt.s_transform_two_mass(0.0, 0.1, 0.025, 4) - expected) < 1e-9
-        near = rmt.s_transform_two_mass(1e-9, 0.1, 0.025, 4)
+        assert abs(oracles.s_transform_two_mass(0.0, 0.1, 0.025, 4) - expected) < 1e-9
+        near = oracles.s_transform_two_mass(1e-9, 0.1, 0.025, 4)
         assert abs(near - expected) < 1e-6
 
     def test_against_independent_quadratic_roots(self):
         p_s, p_i, l, z = 0.1, 0.025, 4, 0.3
-        got = rmt.s_transform_two_mass(z, p_s, p_i, l)
+        got = oracles.s_transform_two_mass(z, p_s, p_i, l)
         b = p_s - p_i + l * p_i + l * (p_i + p_s) * z
         roots = np.roots([l * p_i * p_s * z, -b, l * (1 + z)])
         minus = roots.min()  # the smaller root is the minus branch
@@ -166,7 +168,7 @@ class TestTwoMass:
     def test_exact_transform_matches_mass_function(self):
         s = 0.06 + 0.01j
         direct = (1 / 4) / (0.1 - s) + (3 / 4) / (0.025 - s)
-        assert abs(rmt.two_mass_stieltjes(s, 0.1, 0.025, 4) - direct) < 1e-14
+        assert abs(oracles.two_mass_stieltjes(s, 0.1, 0.025, 4) - direct) < 1e-14
 
 
 class TestDoubleSided:
@@ -231,11 +233,11 @@ class TestMixture:
         # two independent closed-form routes to the block law: atom plus
         # aspect-beta bulk, and the rescaled wide-aspect law
         beta = 0.25
-        comp = [rmt.MixtureComponent(weight=1.0, ratio=beta)]
+        comp = [oracles.MixtureComponent(weight=1.0, ratio=beta)]
         rng = np.random.default_rng(7)
         for _ in range(100):
             s = complex(rng.uniform(-1.5, 3.0), rng.uniform(1e-4, 1.0))
-            g = rmt.mixture_stieltjes(s, comp)
+            g = oracles.mixture_stieltjes(s, comp)
             route_a = (1 - beta) * (-1.0 / s) + beta * rmt.mp_stieltjes(s, beta)
             route_b = (1.0 / beta) * rmt.mp_stieltjes(s / beta, 1.0 / beta)
             assert abs(g - route_a) < 1e-8
@@ -259,36 +261,36 @@ class TestMixture:
         assert abs(whole / n - parts) < 1e-12
 
     def test_equal_counts_reduce_to_single_law(self):
-        comps = rmt.equal_aoa_mixture(5, [200, 200, 200])
-        single = [rmt.MixtureComponent(weight=1.0, ratio=5 / 200)]
+        comps = oracles.equal_aoa_mixture(5, [200, 200, 200])
+        single = [oracles.MixtureComponent(weight=1.0, ratio=5 / 200)]
         for s in (0.5 + 0.1j, 2.0 + 1e-3j):
-            assert abs(rmt.mixture_stieltjes(s, comps)
-                       - rmt.mixture_stieltjes(s, single)) < 1e-12
+            assert abs(oracles.mixture_stieltjes(s, comps)
+                       - oracles.mixture_stieltjes(s, single)) < 1e-12
 
     def test_weight_sum_enforced(self):
         with pytest.raises(ConfigError):
-            rmt.mixture_stieltjes(1j, [rmt.MixtureComponent(weight=0.5, ratio=0.1)])
+            oracles.mixture_stieltjes(1j, [oracles.MixtureComponent(weight=0.5, ratio=0.1)])
 
 
 class TestLinkIdentity:
     def test_mp_law(self):
         grid = [x + 1j * y for x in np.linspace(-3, 3, 10) for y in (0.5, 2.0)]
-        res = rmt.s_stieltjes_link_check(
-            lambda z: rmt.mp_s_transform(z, 0.5),
+        res = oracles.s_stieltjes_link_check(
+            lambda z: oracles.mp_s_transform(z, 0.5),
             lambda s: rmt.mp_stieltjes(s, 0.5), grid)
         assert res < 1e-8
 
     def test_two_mass_law(self):
         grid = [x + 1j * y for x in np.linspace(-1, 1, 10) for y in (0.5, 2.0)]
-        res = rmt.s_stieltjes_link_check(
-            lambda z: rmt.s_transform_two_mass(z, 0.1, 0.025, 4),
-            lambda s: rmt.two_mass_stieltjes(s, 0.1, 0.025, 4), grid)
+        res = oracles.s_stieltjes_link_check(
+            lambda z: oracles.s_transform_two_mass(z, 0.1, 0.025, 4),
+            lambda s: oracles.two_mass_stieltjes(s, 0.1, 0.025, 4), grid)
         assert res < 1e-8
 
     def test_mismatched_laws_fail(self):
         grid = [x + 0.5j for x in np.linspace(-2, 2, 20)]
-        res = rmt.s_stieltjes_link_check(
-            lambda z: rmt.mp_s_transform(z, 0.5),
+        res = oracles.s_stieltjes_link_check(
+            lambda z: oracles.mp_s_transform(z, 0.5),
             lambda s: rmt.mp_stieltjes(s, 0.1), grid)
         assert res > 1e-3
 
@@ -300,7 +302,7 @@ class TestDensityRecovery:
         xs = np.linspace(a + 0.05, b - 0.05, 200)
         dens = rmt.density_from_stieltjes(lambda s: rmt.mp_stieltjes(s, beta),
                                           xs, eps=1e-4)
-        assert np.abs(dens - rmt.mp_density(xs, beta)).max() < 0.02
+        assert np.abs(dens - oracles.mp_density(xs, beta)).max() < 0.02
 
     def test_nonnegative(self):
         xs = np.linspace(-1.0, 4.0, 100)
@@ -594,3 +596,14 @@ class TestErrorContracts:
 
         with pytest.raises(ValueError, match="x=0.6"):
             rmt.density_from_stieltjes(evaluator, [0.1, 0.6], eps=1e-3)
+
+
+def test_every_export_has_a_caller_in_the_program():
+    """Each name in rmt.__all__ appears as a whole word in some program file
+    outside rmt: the rest of the package, perfbench or tools."""
+    root = Path(__file__).resolve().parents[1]
+    rmt_dir = root / "src" / "mimospectra" / "rmt"
+    text = "\n".join(p.read_text() for d in ("src/mimospectra", "perfbench", "tools")
+                     for p in sorted((root / d).rglob("*.py")) if rmt_dir not in p.parents)
+    unused = [name for name in rmt.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from mimospectra import rmt, sim
 from mimospectra.channel import SystemParams
 from mimospectra.errors import ConfigError
@@ -71,7 +72,7 @@ class TestEigenExperiment:
         res = sim.run_eigen_experiment(p, trials=10, seed=3)
         assert "double_sided" in res.supports
         pooled = np.concatenate(res.samples_per_trial)
-        inside = res.supports["double_sided"].contains(pooled, slack=0.05)
+        inside = oracles.contains(res.supports["double_sided"], pooled, slack=0.05)
         assert inside.mean() >= 0.99
 
     def test_two_bulk_structure_desk_scale(self):
