@@ -187,7 +187,9 @@ def build_steering_matrix(aoas: np.ndarray, num_antennas: int,
     m = 0..M-1.  With b = ceil(sqrt(M)) and m = b*q + r, each column is the
     product of a coarse table e^{j theta b q} and a fine one e^{j theta r}:
     about 2 sqrt(M) complex exponentials per angle instead of M, and no
-    larger phase error than the direct exponential.
+    larger phase error than the direct exponential.  The 1/sqrt(P) scale is
+    applied in place to the real and imaginary parts, which is what numpy's
+    complex-by-real division does.
     """
     aoas = _check_aoas(aoas)
     b = math.isqrt(max(num_antennas - 1, 0)) + 1
@@ -196,7 +198,8 @@ def build_steering_matrix(aoas: np.ndarray, num_antennas: int,
     coarse = np.exp(1j * (b * np.arange(q))[:, None] * theta)
     fine = np.exp(1j * np.arange(b)[:, None] * theta)
     cols = (coarse[:, None, :] * fine[None, :, :]).reshape(q * b, aoas.size)[:num_antennas]
-    return cols / np.sqrt(aoas.size)
+    cols.view(np.float64)[...] *= 1.0 / np.sqrt(aoas.size)
+    return cols
 
 
 def steering_gram(aoas_i: np.ndarray, aoas_j: np.ndarray, num_antennas: int,
@@ -205,25 +208,38 @@ def steering_gram(aoas_i: np.ndarray, aoas_j: np.ndarray, num_antennas: int,
 
     Entry (a, b) is a Dirichlet kernel,
     e^{j*pi*(M-1)*delta} sin(pi*M*delta) / sin(pi*delta) / sqrt(P_i P_j) with
-    delta = spacing_ratio * (cos(aoas_i[a]) - cos(aoas_j[b])) reduced mod 1
-    to [-1/2, 1/2]; where sin(pi*delta) vanishes the ratio is its limit M.
-    The phase is the outer product of per-angle phases
-    e^{+-j*pi*(M-1)*spacing_ratio*cos(phi)}, times (-1)^((M-1)*k) for the
-    integer k removed by the reduction.  The cost is P_i * P_j, whatever M
-    is.
+    delta = spacing_ratio * (cos(aoas_i[a]) - cos(aoas_j[b])); it is 1-periodic
+    in delta.  The phase is the outer product of per-angle phases
+    e^{+-j*pi*(M-1)*spacing_ratio*cos(phi)}, and sin(pi*t*delta) for t = M, 1
+    the rank-2 product sin(t x_a) cos(t x_b) - cos(t x_a) sin(t x_b) with
+    x = pi*spacing_ratio*cos(phi): O(P_i + P_j) trig calls, whatever M is.
+    Where |sin(pi*delta)| < 1e-3 (repeated and near-coincident angles,
+    grating lobes) that difference cancels, and the entry comes from delta
+    reduced mod 1 to [-1/2, 1/2] instead, times (-1)^((M-1)*k) for the
+    integer k removed; where sin(pi*delta) vanishes the ratio is its limit M.
     """
     a, b = _check_aoas(aoas_i), _check_aoas(aoas_j)
     m = num_antennas
     cos_a, cos_b = np.cos(a), np.cos(b)
-    delta = spacing_ratio * (cos_a[:, None] - cos_b[None, :])
+    x_a, x_b = np.pi * spacing_ratio * cos_a, np.pi * spacing_ratio * cos_b
+
+    def sin_diff(t):
+        return (np.multiply.outer(np.sin(t * x_a), np.cos(t * x_b))
+                - np.multiply.outer(np.cos(t * x_a), np.sin(t * x_b)))
+
+    den, ratio = sin_diff(1.0), sin_diff(m)
+    near = np.abs(den) < 1e-3
+    np.divide(ratio, den, out=ratio, where=~near)
+    i, j = np.nonzero(near)
+    delta = spacing_ratio * (cos_a[i] - cos_b[j])
     k = np.rint(delta)
     delta -= k
     den = np.sin(np.pi * delta)
-    ratio = np.divide(np.sin(np.pi * m * delta), den, out=np.full(delta.shape, float(m)),
-                      where=den != 0.0)
-    ratio *= (1.0 - 2.0 * ((m - 1) * k.astype(np.int64) & 1)) / np.sqrt(a.size * b.size)
+    ratio[i, j] = np.divide(np.sin(np.pi * m * delta), den, out=np.full(delta.shape, float(m)),
+                            where=den != 0.0) * (1.0 - 2.0 * ((m - 1) * k.astype(np.int64) & 1))
     half = np.pi * (m - 1) * spacing_ratio
-    kernel = np.exp(1j * half * cos_a)[:, None] * np.exp(-1j * half * cos_b)[None, :]
+    scale = 1.0 / np.sqrt(a.size * b.size)
+    kernel = np.multiply.outer(np.exp(1j * half * cos_a) * scale, np.exp(-1j * half * cos_b))
     kernel *= ratio
     return kernel
 

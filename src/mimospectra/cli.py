@@ -248,16 +248,20 @@ def _run_saturation(cfg: dict, params: SystemParams) -> dict:
 
 
 # support_plot mode -> the sim.law_support names it writes; a run without
-# interference leaves every interference law out
+# interference leaves every interference law out and refuses the joint law
 _SUPPORT_MODES = {"onesided": ("one_sided_signal", "one_sided_interference"),
                   "double": ("double_sided",), "iid": ("iid_signal", "iid_interference")}
 
 
 def _run_support_plot(cfg: dict, params: SystemParams) -> dict:
-    out = {}
     for mode in cfg["modes"]:
         if mode not in _SUPPORT_MODES:
             raise ConfigError(f"unknown support mode {mode!r}")
+    if "double" in cfg["modes"] and not sim.has_interference(params):
+        raise ConfigError("support mode 'double' needs an interfering cell: "
+                          "num_cells >= 2 and interference_power > 0")
+    out = {}
+    for mode in cfg["modes"]:
         for name in _SUPPORT_MODES[mode]:
             if name.endswith("_interference") and not sim.has_interference(params):
                 continue
@@ -279,7 +283,7 @@ def _ber_runner(family):
 
 
 def _iid(params: SystemParams) -> dict[str, SystemParams]:
-    """The i.d. reference family of a BER sweep."""
+    """The i.d. reference family of a BER sweep (an i.d. run is its own)."""
     return {"iid": dataclasses.replace(params, scenario="iid", aoa_counts=())}
 
 
@@ -304,7 +308,7 @@ KINDS = {
     "ber": ({**_BER_TYPES, "m_values": (list[int], None)}, _ber_runner(lambda cfg, p: {
         **{f"M={m}": dataclasses.replace(p, num_antennas=m)
            for m in cfg.get("m_values", [p.num_antennas])},
-        **_iid(p)})),
+        **(_iid(p) if p.scenario != "iid" else {})})),
     "ber_aoa": ({**_BER_TYPES, "p_values": list[int], "include_iid": (bool, True)},
                 _ber_runner(_aoa_family)),
     "ber_distinct": ({**_BER_TYPES, "p4_values": list[int]}, _ber_runner(lambda cfg, p: {

@@ -13,19 +13,21 @@ scipy's own expression, and the top eigenpairs of the Gram come from
 OpenBLAS bundled with scipy, called through ctypes with the arguments
 ``scipy.linalg.eigh(subset_by_index=...)`` passes to it, so the results
 are the same to the bit.  Only where no bundled library exports that
-routine does the solve import ``scipy.linalg.eigh``.
+routine does the solve import ``scipy.linalg.eigh``.  The bundled
+libraries are found from the packages' import specs, so scipy itself is
+never imported.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, NumericalError
 
@@ -43,9 +45,12 @@ def bundled_openblas() -> tuple:
     interface) and scipy (``scipy.libs``, LP64), opened with ctypes; empty
     when neither is found, e.g. for a numpy linked against another BLAS."""
     libs = []
-    for module in (np, scipy):
-        site = Path(module.__file__).resolve().parents[1]
-        for path in sorted(site.glob(f"{module.__name__}.libs/libscipy_openblas*.so")):
+    for name in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(name)
+        if spec is None or spec.origin is None:
+            continue
+        site = Path(spec.origin).resolve().parents[1]
+        for path in sorted(site.glob(f"{name}.libs/libscipy_openblas*.so")):
             try:
                 libs.append(ctypes.CDLL(str(path)))
             except OSError:

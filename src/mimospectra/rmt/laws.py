@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from ..errors import BranchTrackingError, ConfigError
 
@@ -176,7 +175,7 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     big = np.abs(coeffs) > 1e-300
     order = np.where(big.any(axis=0), deg - np.argmax(big, axis=0), 0)
     out = np.full((coeffs.shape[1], deg), np.nan, dtype=complex)
-    for d in np.unique(order[order > 0]):
+    for d in sorted(set(order[order > 0].tolist())):
         cols = order == d
         c = coeffs[deg - d:, cols]
         comp = np.zeros((c.shape[1], d, d), dtype=c.dtype)
@@ -305,7 +304,7 @@ def _of_upsilon(*coeffs) -> np.ndarray:
     """Ascending coefficients in v = sG of sum_k coeffs[k] (1 + v)^k."""
     out = np.zeros(len(coeffs))
     for k, c in enumerate(coeffs):
-        out[:k + 1] += c * npp.polypow([1.0, 1.0], k)
+        out[:k + 1] += [c * math.comb(k, i) for i in range(k + 1)]
     return out
 
 
@@ -314,7 +313,7 @@ def onesided_table(p: OneSidedParams) -> np.ndarray:
     a G (1 - gamma + v)(alpha - gamma + alpha v)(alpha - beta gamma + alpha v)
     + beta gamma^2 (1 + v)."""
     a, a1, a2, a3 = p.scale, p.alpha, p.beta, p.gamma
-    prod = npp.polymul(npp.polymul([1.0 - a3, 1.0], [a1 - a3, a1]), [a1 - a2 * a3, a1])
+    prod = np.convolve(np.convolve([1.0 - a3, 1.0], [a1 - a3, a1]), [a1 - a2 * a3, a1])
     return _table(a2 * a3 ** 2 * np.ones(2), a * prod)
 
 
@@ -324,7 +323,7 @@ def iid_table(p_s: float, alpha: float, gamma: float) -> np.ndarray:
     if p_s <= 0 or alpha <= 0 or gamma <= 0:
         raise ConfigError("p_s, alpha, gamma must be positive")
     return _table(gamma * np.ones(2),
-                  -p_s * npp.polymul([1.0 - gamma, 1.0], [alpha - gamma, alpha]))
+                  -p_s * np.convolve([1.0 - gamma, 1.0], [alpha - gamma, alpha]))
 
 
 def double_sided_parts(p: DoubleSidedParams, truncated: bool = False
@@ -375,10 +374,10 @@ def distinct_table(num_users: int, num_cells: int, num_antennas: int,
     k, c, m, n = num_users, num_cells - 1, num_antennas, block_length
     pa, pi = num_aoas, p_interference
     one = np.ones(2)
-    first = -n * pi * npp.polymul(npp.polymul(one, [n - k * c, n]), [n - pa * c, n])
-    second = npp.polyadd(npp.polyadd([k * pa * pi * c ** 2], -n * c * pi * (k + pa) * one),
-                         pi * n * n * npp.polymul(one, one))
-    return _table(-m * n * c * pa * one, npp.polyadd(first, m * second)) / (m * m * n ** 3)
+    g1 = -n * pi * np.convolve(np.convolve(one, [n - k * c, n]), [n - pa * c, n])
+    lin = -n * c * pi * (k + pa)
+    g1[:3] += m * (pi * n * n * np.convolve(one, one) + [k * pa * pi * c ** 2 + lin, lin, 0.0])
+    return _table(-m * n * c * pa * one, g1) / (m * m * n ** 3)
 
 
 # ---------------------------------------------------------------------------

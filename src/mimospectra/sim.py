@@ -19,7 +19,6 @@ import ctypes
 import functools
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -97,6 +96,8 @@ def _map_trials(fn, n_trials: int):
     with _one_blas_thread():
         if workers == 1:
             return [fn(t) for t in range(n_trials)]
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(n_trials)))
 

@@ -1,6 +1,7 @@
 """Channel model: steering geometry, AoA draws, realizations, received blocks
 (assembled by ``sim.draw_block``)."""
 
+import math
 import warnings
 
 import numpy as np
@@ -89,6 +90,28 @@ class TestSteeringGram:
         assert self._rel_err(a, a, m, spacing) <= 1e-10   # within a cell
         assert self._rel_err(a, b, m, spacing) <= 1e-10   # across cells
 
+    @pytest.mark.parametrize("m", [200, 600, 10_000])
+    @pytest.mark.parametrize("spacing", [0.5, 2.0])
+    def test_pairs_either_side_of_the_cancellation_switch(self, m, spacing):
+        # partners of an anchor angle at delta = base -+ eps for base 0 and 1
+        # (at d/lambda = 0.5 only 1 - eps is reachable), so |sin(pi*delta)|
+        # falls on both sides of the 1e-3 below which the kernel switches to
+        # the reduced delta
+        anchors = {0.0: 0.3, 1.0: 1.0 if spacing == 0.5 else 0.6}  # base -> cos(anchor)
+        angles = []
+        for base, c0 in anchors.items():
+            angles.append(np.arccos(c0))
+            for eps in (1e-7, 1e-5, 1e-4, 2e-3):
+                for sign in (-1.0, 1.0):
+                    c = c0 - (base + sign * eps) / spacing
+                    if -1.0 <= c <= 1.0:
+                        angles.append(np.arccos(c))
+        a = np.array(angles)
+        assert a.size == (18 if spacing == 2.0 else 14)
+        assert self._rel_err(a, a, m, spacing) <= 1e-10
+        assert self._rel_err(a[:1], a, m, spacing) <= 1e-10
+        assert self._rel_err(a[9:], a, m, spacing) <= 1e-10
+
     def test_angle_domain_error(self):
         with pytest.raises(ConfigError):
             steering_gram(np.array([0.5]), np.array([4.0]), 8, 0.5)
@@ -137,6 +160,20 @@ class TestBuildSteeringMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             build_steering_matrix(np.array([]), 4, 0.5)
+
+    @pytest.mark.parametrize("m, p", [(1, 1), (3, 2), (401, 37), (400, 200), (600, 100)])
+    def test_in_place_scale_is_the_division(self, m, p, rng):
+        # bitwise the phase-table product divided by sqrt(P), rebuilt here
+        aoas = rng.uniform(0, np.pi, p)
+        b = math.isqrt(max(m - 1, 0)) + 1
+        q = -(-m // b)
+        theta = -2.0 * np.pi * 2.0 * np.cos(aoas)
+        coarse = np.exp(1j * (b * np.arange(q))[:, None] * theta)
+        fine = np.exp(1j * np.arange(b)[:, None] * theta)
+        want = (coarse[:, None, :] * fine[None, :, :]).reshape(q * b, p)[:m] / np.sqrt(p)
+        got = build_steering_matrix(aoas, m, 2.0)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @staticmethod
     def _direct(aoas, m, spacing):

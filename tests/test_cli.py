@@ -443,6 +443,28 @@ def test_support_plot_onesided_without_interference_writes_signal_alone(base, tm
     assert plot == {"onesided_signal": full["onesided_signal"]}
 
 
+# the one family that a ber config on the i.d. channel writes; these rows,
+# written with a byte-identical "iid" family beside them until that duplicate
+# sweep was dropped, must not move
+_BER_IID_ROWS = {
+    "pilot": [{"ber": 0.025, "bits": 440, "ci_hi": 0.04281818181818182,
+               "ci_lo": 0.007181818181818185, "sweep_value": -6.0},
+              {"ber": 0.2636363636363636, "bits": 440, "ci_hi": 0.3291045440343867,
+               "ci_lo": 0.19816818323834048, "sweep_value": 0.0}],
+    "subspace": [{"ber": 0.011363636363636364, "bits": 440, "ci_hi": 0.025450145940750055,
+                  "ci_lo": 0.0, "sweep_value": -6.0},
+                 {"ber": 0.30227272727272725, "bits": 440, "ci_hi": 0.36511182390942076,
+                  "ci_lo": 0.23943363063603376, "sweep_value": 0.0}],
+}
+
+
+def test_ber_on_iid_scenario_sweeps_once(tmp_path):
+    """The i.d. channel is its own i.d. reference: no second family."""
+    got = _run_payload(dict(_PIN_BER, kind="ber", scenario="iid"), tmp_path)["ber"]
+    assert list(got) == ["M=16"]
+    assert got["M=16"] == _BER_IID_ROWS
+
+
 def test_ber_short_honours_config_noise(tmp_path):
     raw = dict(PIN_CONFIGS["ber_short"], noise_enabled=False)
     got = _run_payload(raw, tmp_path)["ber"]
@@ -505,6 +527,12 @@ BAD_INPUTS = {
     "config-p-values-scalar": ("p_values", [], dict(PIN_CONFIGS["ber_aoa"], p_values=4)),
     # the i.d. channel has no AoAs, so every P of the sweep would run the same
     "config-ber-aoa-iid": ("scenario", [], dict(PIN_CONFIGS["ber_aoa"], scenario="iid")),
+    # the joint law needs an interfering cell: one cell wrote a one-cell
+    # "double-sided" law, and no interference power ended with a message
+    # that named no key
+    "config-double-one-cell": ("num_cells", [], dict(PIN_CONFIGS["support_plot"], num_cells=1)),
+    "set-double-no-interference": ("interference_power", ["--set", "interference_power=0"],
+                                   PIN_CONFIGS["support_plot"]),
     "config-users-list": ("users_per_cell", [], dict(PIN_CONFIGS["eigen"], users_per_cell=[2])),
     # law-parameter files
     "support-double-power-string": ("p_signal", ["support", "--mode", "double"],
@@ -608,28 +636,38 @@ def test_payload_bytes_invariant_to_thread_settings(kind, tmp_path):
     assert outputs["blas1"] == outputs["blas2"] == outputs["workers2"]
 
 
+# modules that no run uses: scipy's (the bundled OpenBLAS is found from its
+# import spec), numpy's (numpy.ma is imported by np.unique) and the thread pool's
+UNUSED_MODULES = ("scipy", "scipy.linalg", "numpy.ma", "numpy.polynomial",
+                  "concurrent.futures")
+
+
 def test_import_leaves_scipy_linalg_unloaded(tmp_path):
-    """Start-up and memory cost: neither the CLI and the laws on import nor a
-    whole BER run load scipy.linalg; the run solves its eigenpairs with the
-    LAPACKE_zheevr of scipy's bundled OpenBLAS and builds its DFT pilot in
-    numpy."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(PIN_CONFIGS["ber"], label="t")))
+    """Start-up and memory cost: none of UNUSED_MODULES is loaded by the CLI
+    and the laws on import, by a support_plot run (support scans) or by a
+    whole BER run, which solves its eigenpairs with the LAPACKE_zheevr of
+    scipy's bundled OpenBLAS and builds its DFT pilot in numpy."""
+    configs = []
+    for kind in ("support_plot", "ber"):
+        configs.append(tmp_path / f"{kind}.json")
+        configs[-1].write_text(json.dumps(dict(PIN_CONFIGS[kind], label=kind)))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
+    env.pop("MIMOSPECTRA_WORKERS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, mimospectra.cli, mimospectra.rmt\n"
-            "print('scipy.linalg' in sys.modules)\n"
-            "rc = mimospectra.cli.main(sys.argv[1:])\n"
-            "print(rc, 'scipy.linalg' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, "run", "--config", str(config),
-                           "--out", str(tmp_path / "out")],
+            f"unused = {UNUSED_MODULES!r}\n"
+            "print('loaded', 0, [m for m in unused if m in sys.modules])\n"
+            "for config in sys.argv[1:]:\n"
+            "    rc = mimospectra.cli.main(['run', '--config', config, '--out', config + '.out'])\n"
+            "    print('loaded', rc, [m for m in unused if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, configs)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "False"
-    assert (tmp_path / "out" / "t_result.json").exists()
-    assert lines[-1] == "0 False"
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("loaded")]
+    assert lines == ["loaded 0 []"] * 3
+    for kind in ("support_plot", "ber"):
+        assert (tmp_path / f"{kind}.json.out" / f"{kind}_result.json").exists()
 
 
 def test_failed_eigensolve_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

@@ -102,6 +102,48 @@ def test_evaluators_are_herglotz_and_decay(name, d, re, log_im):
     assert abs(far * g_at(far) + 1.0) < 1e-4
 
 
+def _polynomial_tables(k, l, m, n, p, p_s, p_i):
+    """The onesided, iid and distinct tables built with numpy.polynomial,
+    which trims trailing zero coefficients of every operand and result."""
+    from numpy.polynomial import polynomial as npp
+
+    a1, a2, a3 = k / m, p / m, k / n
+    onesided = laws._table(a2 * a3 ** 2 * np.ones(2), p_s * npp.polymul(
+        npp.polymul([1.0 - a3, 1.0], [a1 - a3, a1]), [a1 - a2 * a3, a1]))
+    iid = laws._table(a3 * np.ones(2), -p_s * npp.polymul([1.0 - a3, 1.0], [a1 - a3, a1]))
+    c, one = l - 1, np.ones(2)
+    first = -n * p_i * npp.polymul(npp.polymul(one, [n - k * c, n]), [n - p * c, n])
+    second = npp.polyadd(npp.polyadd([k * p * p_i * c ** 2], -n * c * p_i * (k + p) * one),
+                         p_i * n * n * npp.polymul(one, one))
+    distinct = laws._table(-m * n * c * p * one, npp.polyadd(first, m * second)) / (m * m * n ** 3)
+    return onesided, iid, distinct
+
+
+def test_tables_bitwise_equal_polynomial_construction():
+    # the tables take np.convolve and plain sums instead of numpy.polynomial;
+    # its trailing-zero trim changes nothing here, one cell (no interfering
+    # cell, c = 0) and N = K (L - 1) included, because every leading
+    # coefficient is a positive product of dimensions and a power
+    rng = np.random.default_rng(7)
+    for case in range(300):
+        k, l = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+        m, n, p = (int(x) for x in rng.integers(1, 3000, 3))
+        if case % 5 == 0 and l > 1:
+            n = k * (l - 1)
+        p_s, p_i = 10.0 ** rng.uniform(-3.0, 1.0, 2)
+        got = (laws.onesided_table(rmt.OneSidedParams(p_s, k, m, n, p)),
+               laws.iid_table(p_s, k / m, k / n), laws.distinct_table(k, l, m, n, p, p_i))
+        for g, w in zip(got, _polynomial_tables(k, l, m, n, p, p_s, p_i)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    from numpy.polynomial import polynomial as npp
+
+    for coeffs in rng.uniform(-2.0, 2.0, (50, 4)):
+        for size in range(1, 5):
+            want = sum(np.pad(c * npp.polypow([1.0, 1.0], j), (0, size - j - 1))
+                       for j, c in enumerate(coeffs[:size]))
+            assert laws._of_upsilon(*coeffs[:size]).tobytes() == want.tobytes()
+
+
 def test_distinct_two_cells_is_scaled_onesided_table():
     # with one interfering cell the block-diagonal law is the one-power law
     k, m, n, p = sp.symbols("K M N P", positive=True, integer=True)
