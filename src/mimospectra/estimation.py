@@ -13,9 +13,8 @@ scipy's own expression, and the top eigenpairs of the Gram come from
 OpenBLAS bundled with scipy, called through ctypes with the arguments
 ``scipy.linalg.eigh(subset_by_index=...)`` passes to it, so the results
 are the same to the bit.  Only where no bundled library exports that
-routine does the solve import ``scipy.linalg.eigh``.  The bundled
-libraries are found from the packages' import specs, so scipy itself is
-never imported.
+routine does the solve import ``scipy.linalg.eigh``; the bundled libraries
+are found from the packages' import specs, so no other path imports scipy.
 """
 
 from __future__ import annotations
