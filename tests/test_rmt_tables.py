@@ -14,6 +14,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 from mimospectra import rmt
 from mimospectra.rmt import laws
@@ -105,8 +106,6 @@ def test_evaluators_are_herglotz_and_decay(name, d, re, log_im):
 def _polynomial_tables(k, l, m, n, p, p_s, p_i):
     """The onesided, iid and distinct tables built with numpy.polynomial,
     which trims trailing zero coefficients of every operand and result."""
-    from numpy.polynomial import polynomial as npp
-
     a1, a2, a3 = k / m, p / m, k / n
     onesided = laws._table(a2 * a3 ** 2 * np.ones(2), p_s * npp.polymul(
         npp.polymul([1.0 - a3, 1.0], [a1 - a3, a1]), [a1 - a2 * a3, a1]))
@@ -135,8 +134,6 @@ def test_tables_bitwise_equal_polynomial_construction():
                laws.iid_table(p_s, k / m, k / n), laws.distinct_table(k, l, m, n, p, p_i))
         for g, w in zip(got, _polynomial_tables(k, l, m, n, p, p_s, p_i)):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    from numpy.polynomial import polynomial as npp
-
     for coeffs in rng.uniform(-2.0, 2.0, (50, 4)):
         for size in range(1, 5):
             want = sum(np.pad(c * npp.polypow([1.0, 1.0], j), (0, size - j - 1))
