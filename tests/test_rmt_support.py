@@ -1,6 +1,8 @@
 """Support-boundary solvers against Monte Carlo extreme eigenvalues."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,3 +361,36 @@ def test_support_matches_recorded_intervals(name):
     for (lo, hi), (elo, ehi) in zip(got, expected):
         assert lo == pytest.approx(elo, rel=1e-6)
         assert hi == pytest.approx(ehi, rel=1e-6)
+
+
+# scan_pins.json holds 40 seeded random scans, ten per law, recorded from the
+# multi-helper scan that preceded the one-pass scan_support: each case's
+# arguments, its intervals or ConfigError text, and every warning it raised
+SCAN_PINS = json.loads((Path(__file__).parent / "scan_pins.json").read_text())
+_SCANS = {"onesided": lambda a: rmt.support_onesided(rmt.OneSidedParams(**a)),
+          "double": lambda a: rmt.support_double_sided(rmt.DoubleSidedParams(**a)),
+          "distinct": lambda a: rmt.support_distinct(**a),
+          "iid": lambda a: rmt.support_iid(**a)}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_PINS))
+def test_scan_matches_exact_pin(case):
+    pin = SCAN_PINS[case]
+    got = {"law": pin["law"], "args": pin["args"]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got["intervals"] = [list(iv) for iv in _SCANS[pin["law"]](pin["args"]).intervals]
+        except ConfigError as exc:
+            got["error"] = str(exc)
+    got["warnings"] = [str(w.message) for w in caught]
+    assert got == pin
+
+
+def test_scan_pins_cover_every_scan_outcome():
+    texts = [t for pin in SCAN_PINS.values() for t in [pin.get("error", "")] + pin["warnings"]]
+    for law in _SCANS:
+        assert any(pin["law"] == law and "intervals" in pin for pin in SCAN_PINS.values())
+    for phrase in ("x-grid too narrow", "no positive support interval",
+                   "did not resolve the bulk"):
+        assert any(phrase in t for t in texts)
