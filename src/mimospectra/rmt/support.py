@@ -78,24 +78,13 @@ class SpectralSupport:
 # scan internals
 # ---------------------------------------------------------------------------
 
-def _sorted_real_roots(coeffs: np.ndarray, rtol: float = 1e-7) -> np.ndarray:
+def _sorted_real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of each column of descending coefficients, shape (degree
     + 1, n), as a (degree, n) array: ascending, NaN-padded.  A root is real
-    when |Im r| <= rtol * max(1, max |r|) over its column's roots."""
+    when |Im r| <= 1e-7 * max(1, max |r|) over its column's roots."""
     r = companion_roots(np.asarray(coeffs, dtype=float))
     scale = np.fmax.reduce(np.abs(r), axis=1, initial=1.0, keepdims=True)
-    return np.sort(np.where(np.abs(r.imag) <= rtol * scale, r.real, np.nan), axis=1).T
-
-
-def _split_at(xs: np.ndarray, cut_points) -> list[np.ndarray]:
-    """Split an ordered grid wherever it straddles a cut point."""
-    cuts = [0, len(xs)]
-    for c in cut_points:
-        k = int(np.searchsorted(xs, c))
-        if 0 < k < len(xs):
-            cuts.append(k)
-    cuts = sorted(set(cuts))
-    return [xs[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b - a >= 3]
+    return np.sort(np.where(np.abs(r.imag) <= 1e-7 * scale, r.real, np.nan), axis=1).T
 
 
 def _track_branches(table: np.ndarray, xs: np.ndarray) -> list[np.ndarray]:
@@ -132,80 +121,49 @@ def _parabolic_value(x3, s3) -> float:
     return float(np.polyval(c, xe))
 
 
-def _runs_of_branch(xs: np.ndarray, sv: np.ndarray):
-    """Yield (lo, hi, cut_xs, cut_values) per maximal increasing run.
-
-    ``cut_xs``/``cut_values`` report run ends truncated by the segment
-    boundary rather than by a genuine extremum.
-    """
+def _increasing_runs(xs: np.ndarray, sv: np.ndarray):
+    """Yield (lo, hi, outer) per maximal increasing run, two points or more,
+    of a branch over each of its unbroken stretches.  ``outer`` holds the
+    branch values where the run is cut at |x| = X_MAX rather than ended by
+    an extremum, a pole or X_MIN."""
     valid = np.flatnonzero(~np.isnan(sv))
-    if valid.size < 3:
-        return
     for seg in np.split(valid, np.flatnonzero(np.diff(valid) > 1) + 1):
         if seg.size < 3:
             continue
         x, s = xs[seg], sv[seg]
         inc = np.gradient(s, x) > 0
-        j = 0
-        while j < len(inc):
-            if not inc[j]:
-                j += 1
+        for j, k in np.flatnonzero(np.diff(np.r_[False, inc, False])).reshape(-1, 2):
+            if k - j < 2:
                 continue
-            k = j
-            while k < len(inc) and inc[k]:
-                k += 1
-            if k - j >= 2:
-                lo, hi = float(s[j]), float(s[k - 1])
-                if j > 0:
-                    lo = _parabolic_value(x[j - 1:j + 2], s[j - 1:j + 2])
-                if k < len(s):
-                    hi = _parabolic_value(x[k - 2:k + 1], s[k - 2:k + 1])
-                lo = min(lo, float(np.min(s[j:k])))
-                hi = max(hi, float(np.max(s[j:k])))
-                cut_xs, cut_values = [], []
-                if j == 0:
-                    cut_xs.append(float(x[0]))
-                    cut_values.append(float(s[0]))
-                if k == len(s):
-                    cut_xs.append(float(x[-1]))
-                    cut_values.append(float(s[-1]))
-                yield lo, hi, cut_xs, cut_values
-            j = k
+            lo = _parabolic_value(x[j - 1:j + 2], s[j - 1:j + 2]) if j > 0 else float(s[j])
+            hi = (_parabolic_value(x[k - 2:k + 1], s[k - 2:k + 1]) if k < len(s)
+                  else float(s[k - 1]))
+            yield (min(lo, float(np.min(s[j:k]))), max(hi, float(np.max(s[j:k]))),
+                   [float(s[i]) for i in (j, k - 1) if abs(abs(x[i]) - X_MAX) <= 1e-9 * X_MAX])
 
 
-def _merge_gaps(gaps: list[tuple[float, float]], tol: float) -> list[list[float]]:
-    gaps = sorted(gaps)
-    merged = [list(gaps[0])]
-    for lo, hi in gaps[1:]:
-        if lo <= merged[-1][1] + tol:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return merged
-
-
-def scan_support(table: np.ndarray, label: str = "law") -> SpectralSupport:
+def scan_support(table: np.ndarray, label: str) -> SpectralSupport:
     """Run the inverse-function scan and assemble support intervals.
 
     ``table[a, b]`` is the coefficient of s^a x^b in the inverse-function
-    polynomial; the grid is split at the real roots of its leading s-row.
+    polynomial; the grid is split at 0 and at the real roots of its leading
+    s-row.
     """
-    poles = companion_roots(table[-1, ::-1, None])[0]
-    poles = poles[np.abs(poles.imag) <= 1e-7 * np.maximum(1.0, np.abs(poles))].real
+    poles = _sorted_real_roots(table[-1, ::-1, None])[:, 0]
     xs_pos = np.geomspace(X_MIN, X_MAX, POINTS // 2)
     xs = np.concatenate([-xs_pos[::-1], xs_pos])
+    # segment ends: the grid's own and each point past 0 or a pole (a NaN
+    # pad sorts past the grid)
+    ends = sorted({0, len(xs), *np.searchsorted(xs, [*poles, 0.0]).tolist()})
     gaps: list[tuple[float, float]] = []
-    outer_cut_values: list[float] = []
-    for seg in _split_at(xs, [*poles, 0.0]):
-        for branch in _track_branches(table, seg):
-            for lo, hi, cut_xs, cut_values in _runs_of_branch(seg, branch):
+    outer: list[float] = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        if b - a < 3:
+            continue
+        for branch in _track_branches(table, xs[a:b]):
+            for lo, hi, cut in _increasing_runs(xs[a:b], branch):
                 gaps.append((lo, hi))
-                for cx, cv in zip(cut_xs, cut_values):
-                    # cuts at |x| = X_MAX mean an extremum may lie beyond the
-                    # grid; cuts at X_MIN / pole splits are the expected
-                    # asymptotes
-                    if abs(abs(cx) - X_MAX) <= 1e-9 * X_MAX:
-                        outer_cut_values.append(cv)
+                outer += cut
     if not gaps:
         raise ConfigError(f"{label}: no real increasing branch found on the grid; "
                           "support cannot be identified")
@@ -214,19 +172,20 @@ def scan_support(table: np.ndarray, label: str = "law") -> SpectralSupport:
     s_cap = 0.5 / X_MIN
     resolvable = [abs(v) for g in gaps for v in g if 0 < abs(v) < s_cap]
     scale = max(resolvable) if resolvable else max(abs(hi) for _, hi in gaps)
-    merged = _merge_gaps(gaps, tol=1e-6 * scale)
+    merged: list[list[float]] = []
+    for lo, hi in sorted(gaps):
+        if merged and lo <= merged[-1][1] + 1e-6 * scale:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
     # gaps narrower than the scan's image-space resolution are tracking
     # noise at branch crossings, not spectral gaps
     merged = [g for g in merged if g[1] - g[0] >= 1e-5 * scale]
-    support = []
-    for (a0, a1), (b0, b1) in zip(merged[:-1], merged[1:]):
-        if b0 - a1 > 1e-3 * scale:
-            support.append((a1, b0))
-    support = [(lo, hi) for lo, hi in support if hi > 0 and lo < s_cap]
-    support = [(lo, hi) for lo, hi in support if hi > 0.02 * scale]
+    support = [(a1, b0) for (_, a1), (b0, _) in zip(merged, merged[1:])
+               if b0 - a1 > 1e-3 * scale and a1 < s_cap and b0 > 0.02 * scale]
     # the zero-atom asymptote legitimately reaches |x| = X_MAX at
     # |s| ~ mass/X_MAX << scale; only order-scale cut values are suspicious
-    unresolved = [v for v in outer_cut_values if abs(v) > 0.1 * scale]
+    unresolved = [v for v in outer if abs(v) > 0.1 * scale]
     if unresolved:
         warnings.warn(
             f"{label}: x-grid too narrow, {len(unresolved)} increasing run(s) cut "
