@@ -20,6 +20,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -72,6 +73,18 @@ def _as_type(val, t, where: str):
     name = (f"{'non-empty ' if origin is list else ''}list of {_JSON_NAMES[elem[0]]}s"
             if elem else _JSON_NAMES[t])
     raise ConfigError(f"{where}={val!r}; expected {name}")
+
+
+def _linear(x_db: float, where: str, times: float = 1.0) -> float:
+    """times * 10^(x_db / 10), or a ConfigError naming ``where`` when that
+    overflows a float."""
+    try:
+        out = times * sim.db_to_linear(x_db)
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out):
+        raise ConfigError(f"{where}={x_db!r} dB overflows a float")
+    return out
 
 
 def _checked(raw: dict, types: dict, where: str) -> dict:
@@ -174,13 +187,20 @@ def parse_config(raw: dict) -> dict:
     for power in _POWERS:
         if power in raw and f"{power}_db" in raw:
             raise ConfigError(f"config gives both {power} and {power}_db; expected one")
-    cfg = {k[:-3] if k in _DB_KEYS else k: sim.db_to_linear(v) if k in _DB_KEYS else v
+    cfg = {k[:-3] if k in _DB_KEYS else k: _linear(v, f"config.{k}") if k in _DB_KEYS else v
            for k, v in _checked(raw, {**_COMMON_TYPES, **KINDS[kind][0]}, "config").items()}
     if cfg["seed"] < 0:
         raise ConfigError(f"config.seed={cfg['seed']!r}; expected a non-negative integer")
     cfg.setdefault("label", kind)
+    # the label names the output files inside --out
+    if cfg["label"] in ("", ".", "..") or any(c in (os.sep, os.altsep) for c in cfg["label"]):
+        raise ConfigError(f"config.label={cfg['label']!r}; expected a file name other "
+                          "than '', '.' and '..', without a path separator")
     if "snr_db" in cfg:  # the BER kinds: p_signal = 10^(SNR/10) against unit noise
-        cfg["signal_power"] = cfg["interference_power"] = sim.db_to_linear(cfg["snr_db"])
+        cfg["signal_power"] = cfg["interference_power"] = _linear(cfg["snr_db"],
+                                                                  "config.snr_db")
+        for i, ratio_db in enumerate(cfg["ratios_db"]):  # p_interference of each point
+            _linear(ratio_db, f"config.ratios_db[{i}]", cfg["signal_power"])
     # build SystemParams early so dimension errors surface as config errors
     cfg["_system"] = SystemParams(**{k: cfg[k] for k in _SYSTEM_TYPES if k in cfg})
     return cfg

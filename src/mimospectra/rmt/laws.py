@@ -28,6 +28,8 @@ Laws implemented:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -151,12 +153,15 @@ def mp_stieltjes(s, ratio: float):
     s_arr = _finite(s)
     if np.any(s_arr.imag == 0):
         raise ConfigError("mp_stieltjes requires Im s != 0")
-    b = 1.0 - ratio - s_arr
-    disc = np.sqrt(b * b - 4.0 * ratio * s_arr)
-    r1 = (b + disc) / (2.0 * ratio * s_arr)
-    r2 = (b - disc) / (2.0 * ratio * s_arr)
+    with np.errstate(all="ignore"):
+        b = 1.0 - ratio - s_arr
+        disc = np.sqrt(b * b - 4.0 * ratio * s_arr)
+        r1 = (b + disc) / (2.0 * ratio * s_arr)
+        r2 = (b - disc) / (2.0 * ratio * s_arr)
     pick1 = r1.imag * np.sign(s_arr.imag) > 0
     out = np.where(pick1, r1, r2)
+    if not np.isfinite(out).all():
+        raise ConfigError(f"mp_stieltjes: ratio={ratio!r} overflows a float")
     return out if s_arr.ndim else complex(out)
 
 
@@ -188,8 +193,15 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
 def coeffs_at(table: np.ndarray, points) -> np.ndarray:
     """Column k holds the coefficients of table's relation at points[k],
     ascending in its second variable: table.T @ points ** arange, one stacked
-    product.  Evaluators, residuals and scans all evaluate a table here."""
-    return table.T @ np.asarray(points) ** np.arange(len(table))[:, None]
+    product.  Evaluators, residuals and scans all evaluate a table here; a
+    coefficient that overflows a float is a ConfigError."""
+    points = np.asarray(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = table.T @ points ** np.arange(len(table))[:, None]
+    if not np.isfinite(out).all():
+        raise ConfigError(f"law coefficients overflow a float at |point| up to "
+                          f"{np.max(np.abs(points)):.3g}")
+    return out
 
 
 def _roots_at(table: np.ndarray, points) -> np.ndarray:
@@ -290,6 +302,26 @@ def _normalized_residual(table: np.ndarray, s: complex, g: complex) -> float:
 # coefficient tables: T[i, j] is the coefficient of s^i G^j in F(s, G) = 0
 # ---------------------------------------------------------------------------
 
+def _law_table(build):
+    """A table builder whose float tables that overflow are refused with a
+    ConfigError naming its arguments (a symbolic, object table is kept)."""
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = build(*args, **kwargs)
+            finite = all(t.dtype.kind != "f" or np.isfinite(t).all()
+                         for t in (out if isinstance(out, tuple) else [out]))
+        except OverflowError:
+            finite = False
+        if not finite:
+            named = inspect.signature(build).bind(*args, **kwargs).arguments
+            raise ConfigError(f"{build.__name__}({', '.join(f'{k}={v!r}' for k, v in named.items())})"
+                              " overflows a float")
+        return out
+    return checked
+
+
 def _table(*parts) -> np.ndarray:
     """Table of sum_g G^g parts[g](v), each part ascending in v = sG."""
     deg = max(len(p) for p in parts)
@@ -308,6 +340,7 @@ def _of_upsilon(*coeffs) -> np.ndarray:
     return out
 
 
+@_law_table
 def onesided_table(p: OneSidedParams) -> np.ndarray:
     """n x n one-power law (zero atom included), with v = sG:
     a G (1 - gamma + v)(alpha - gamma + alpha v)(alpha - beta gamma + alpha v)
@@ -317,6 +350,7 @@ def onesided_table(p: OneSidedParams) -> np.ndarray:
     return _table(a2 * a3 ** 2 * np.ones(2), a * prod)
 
 
+@_law_table
 def iid_table(p_s: float, alpha: float, gamma: float) -> np.ndarray:
     """Rich-scattering limit of the one-power law, with v = sG:
     gamma (1 + v) - p_s G (1 - gamma + v)(alpha - gamma + alpha v)."""
@@ -326,6 +360,7 @@ def iid_table(p_s: float, alpha: float, gamma: float) -> np.ndarray:
                   -p_s * np.convolve([1.0 - gamma, 1.0], [alpha - gamma, alpha]))
 
 
+@_law_table
 def double_sided_parts(p: DoubleSidedParams, truncated: bool = False
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Tables of T and Q in the double-sided relation T + R = 0, R^2 = Q.
@@ -350,6 +385,7 @@ def double_sided_parts(p: DoubleSidedParams, truncated: bool = False
     return t, q
 
 
+@_law_table
 def double_sided_table(p: DoubleSidedParams, truncated: bool = False) -> np.ndarray:
     """The radical-free double-sided polynomial F = T^2 - Q (degree 8 in G)."""
     t, q = double_sided_parts(p, truncated)
@@ -360,6 +396,7 @@ def double_sided_table(p: DoubleSidedParams, truncated: bool = False) -> np.ndar
     return f
 
 
+@_law_table
 def distinct_table(num_users: int, num_cells: int, num_antennas: int,
                    block_length: int, num_aoas: int, p_interference: float
                    ) -> np.ndarray:

@@ -543,6 +543,31 @@ BAD_INPUTS = {
                                   dict(scale="x", inner_dim=5, m=400, n=1000, p=200)),
     "stieltjes-iid-string": ("p_s", ["stieltjes", "--law", "iid"],
                              dict(p_s="x", alpha=0.0125, gamma=0.005)),
+    # finite numbers whose dB conversion or law table overflows a float
+    "set-db-overflow": ("signal_power_db", ["--set", "signal_power_db=4000"],
+                        PIN_CONFIGS["eigen"]),
+    "set-snr-overflow": ("snr_db", ["--set", "snr_db=4000"], PIN_CONFIGS["ber"]),
+    "set-ratios-overflow": ("ratios_db[1]", ["--set", "ratios_db=[0, 4000]"],
+                            PIN_CONFIGS["ber"]),
+    "support-double-power-overflow": ("p_signal=1e+300", ["support", "--mode", "double"],
+                                      dict(_DOUBLE_LAW, p_signal=1e300)),
+    "stieltjes-double-power-overflow": ("p_signal=1e+300", ["stieltjes", "--law", "double"],
+                                        dict(_DOUBLE_LAW, p_signal=1e300)),
+    "support-distinct-power-overflow": ("p_interference=1e+300",
+                                        ["support", "--mode", "distinct"],
+                                        dict(_DISTINCT_LAW, p_interference=1e300)),
+    # the table is finite, its coefficients at the anchor point are not
+    "stieltjes-onesided-scale-overflow": ("overflow", ["stieltjes", "--law", "onesided"],
+                                          dict(scale=1e300, inner_dim=5, m=400, n=1000,
+                                               p=200)),
+    "stieltjes-mp-ratio-subnormal": ("ratio", ["stieltjes", "--law", "mp"],
+                                     dict(ratio=1e-320)),
+    # a label names files inside --out: "../x" wrote beside it and "" wrote
+    # "_result.json"
+    "set-label-parent": ("label", ["--set", "label=../escaped"], PIN_CONFIGS["eigen"]),
+    "set-label-empty": ("label", ["--set", 'label=""'], PIN_CONFIGS["eigen"]),
+    "set-label-dot": ("label", ["--set", "label=."], PIN_CONFIGS["eigen"]),
+    "set-label-dotdot": ("label", ["--set", "label=.."], PIN_CONFIGS["eigen"]),
 }
 
 
@@ -594,6 +619,22 @@ def test_bad_input_is_one_line_config_error(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert not out.exists() and not captured.out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json"]
+
+
+def test_overflowing_overlay_is_skipped_with_a_warning(tmp_path):
+    """An eigen run whose joint law table overflows keeps its samples and
+    drops that overlay with a warning, as any overlay that cannot be built."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(PIN_CONFIGS["eigen"]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                       "--set", "signal_power=1e200"])
+    assert rc == 0
+    payload = json.loads((tmp_path / "out" / "eigen_result.json").read_text())["payload"]
+    assert payload["eigen"]["samples_per_trial"] and "double_sided" not in payload["eigen"]["supports"]
+    assert any(str(w.message).startswith("could not attach double_sided support: "
+                                         "double_sided_parts(") for w in caught)
 
 
 # a small eigen run (its Monte Carlo samples differ in the last digits with
