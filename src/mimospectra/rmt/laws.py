@@ -310,14 +310,13 @@ def _law_table(build):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 out = build(*args, **kwargs)
-            finite = all(t.dtype.kind != "f" or np.isfinite(t).all()
-                         for t in (out if isinstance(out, tuple) else [out]))
-        except OverflowError:
-            finite = False
-        if not finite:
+        except OverflowError:  # a Python float power
+            out = np.array(np.inf)
+        if not all(t.dtype.kind != "f" or np.isfinite(t).all()
+                   for t in (out if isinstance(out, tuple) else [out])):
             named = inspect.signature(build).bind(*args, **kwargs).arguments
-            raise ConfigError(f"{build.__name__}({', '.join(f'{k}={v!r}' for k, v in named.items())})"
-                              " overflows a float")
+            listed = ", ".join(f"{k}={v!r}" for k, v in named.items())
+            raise ConfigError(f"{build.__name__}({listed}) overflows a float")
         return out
     return checked
 

@@ -631,8 +631,8 @@ def test_overflowing_overlay_is_skipped_with_a_warning(tmp_path):
         rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
                        "--set", "signal_power=1e200"])
     assert rc == 0
-    payload = json.loads((tmp_path / "out" / "eigen_result.json").read_text())["payload"]
-    assert payload["eigen"]["samples_per_trial"] and "double_sided" not in payload["eigen"]["supports"]
+    eigen = json.loads((tmp_path / "out" / "eigen_result.json").read_text())["payload"]["eigen"]
+    assert eigen["samples_per_trial"] and "double_sided" not in eigen["supports"]
     assert any(str(w.message).startswith("could not attach double_sided support: "
                                          "double_sided_parts(") for w in caught)
 
