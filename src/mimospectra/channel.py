@@ -109,12 +109,13 @@ class SystemParams:
 
 @dataclass
 class ChannelRealization:
-    """Per-cell AoAs and fading factors of one realization.
+    """AoA sets and per-cell fading factors of one realization.
 
-    ``steering`` (per cell, M x P_i) and ``composite`` (M x K*L, columns
-    grouped by cell, kept once built) are built from them on demand; for the
-    iid scenario the factors are absent and ``iid_composite`` holds the
-    composite.
+    Each distinct AoA set is kept once: one shared set, or one per cell; cell
+    c uses set ``c % len(aoas)``.  ``steering`` (per set, M x P_i) and
+    ``composite`` (M x K*L, columns grouped by cell, kept once built) are
+    built from them on demand; for the iid scenario the factors are absent
+    and ``iid_composite`` holds the composite.
     """
 
     params: SystemParams
@@ -122,21 +123,18 @@ class ChannelRealization:
     fading: list[np.ndarray] = field(default_factory=list)
     iid_composite: np.ndarray | None = None
 
-    def _aoa_sets(self) -> list[np.ndarray]:
-        """The distinct AoA sets: one shared set, or one per cell."""
-        return self.aoas[:1] if self.params.scenario == "identical_aoas" else self.aoas
-
     @property
     def steering(self) -> list[np.ndarray]:
         m, d = self.params.num_antennas, self.params.spacing_ratio
-        sets = [build_steering_matrix(a, m, d) for a in self._aoa_sets()]
-        return sets * len(self.aoas) if len(sets) == 1 else sets
+        return [build_steering_matrix(a, m, d) for a in self.aoas]
 
     @cached_property
     def composite(self) -> np.ndarray:
         if self.iid_composite is not None:
             return self.iid_composite
-        return np.concatenate([s @ h for s, h in zip(self.steering, self.fading)], axis=1)
+        sets = self.steering
+        return np.concatenate([sets[cell % len(sets)] @ h
+                               for cell, h in enumerate(self.fading)], axis=1)
 
     def gram(self, cols: slice = slice(None)) -> np.ndarray:
         """H^H H for the kept columns of the composite.
@@ -145,20 +143,19 @@ class ChannelRealization:
         closed-form ``steering_gram``, whose cost does not grow with M;
         otherwise the composite is built and multiplied out.
         """
-        sets = self._aoa_sets()
         m = self.params.num_antennas
-        if self.iid_composite is not None or sum(a.size for a in sets) > m:
+        if self.iid_composite is not None or sum(a.size for a in self.aoas) > m:
             h = self.composite[:, cols]
             return h.conj().T @ h
         k = self.params.users_per_cell
-        offsets = np.cumsum([0] + [a.size for a in sets])
+        offsets = np.cumsum([0] + [a.size for a in self.aoas])
         coeffs = np.zeros((offsets[-1], k * len(self.fading)), dtype=complex)
         for cell, f in enumerate(self.fading):
-            row = offsets[cell % len(sets)]  # the shared set, or the cell's own
+            row = offsets[cell % len(self.aoas)]  # the shared set, or the cell's own
             coeffs[row:row + f.shape[0], cell * k:(cell + 1) * k] = f
         coeffs = coeffs[:, cols]
         kernel = np.block([[steering_gram(a, b, m, self.params.spacing_ratio)
-                            for b in sets] for a in sets])
+                            for b in self.aoas] for a in self.aoas])
         return coeffs.conj().T @ kernel @ coeffs
 
 
@@ -259,7 +256,7 @@ def realize_channel(params: SystemParams, seed) -> ChannelRealization:
 
     counts = params.aoa_counts
     if params.scenario == "identical_aoas":
-        aoas = [draw_aoa_set(counts[0], rng)] * n_cells
+        aoas = [draw_aoa_set(counts[0], rng)]
     else:
         aoas = [draw_aoa_set(p, rng) for p in counts]
     fading = [crandn(rng, p, k) for p in counts]

@@ -212,6 +212,8 @@ def load_config(preset: str | None, config_path: str | None, scale: str,
     each layer over the ones before it."""
     if preset is None and config_path is None:
         raise ConfigError("either --preset or --config is required")
+    if preset is None and scale == "desk":
+        raise ConfigError("--scale desk halves a preset; it needs --preset")
     layers = []
     if preset is not None:
         if preset not in PRESETS:

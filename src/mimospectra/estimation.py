@@ -1,11 +1,11 @@
 """Blind subspace channel estimation and the pilot-based baseline.
 
 The subspace pipeline: the K dominant left singular vectors of the received
-block (solved on its smaller Gram matrix), projection onto them, zero-forcing
-on the shared pilot prefix to resolve the remaining K x K ambiguity, then
-matched-filter QPSK detection on the projected data.  The baseline
-estimates the full antenna-domain channel by least squares on the same
-pilots and matched-filters in antenna space.
+block (solved on its smaller Gram matrix), projection onto them, the
+least-squares fit on the shared pilot prefix (``PilotLayout.fit``) to resolve
+the remaining K x K ambiguity, then matched-filter QPSK detection on the
+projected data.  The baseline applies the same fit to the raw block, which
+estimates the full antenna-domain channel, and matched-filters in antenna space.
 
 Nothing here loads ``scipy.linalg``: the pilot is the DFT matrix built with
 scipy's own expression, and the top eigenpairs of the Gram come from
@@ -23,7 +23,7 @@ import ctypes
 import importlib.util
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -109,11 +109,13 @@ class SubspaceModel:
 
 @dataclass(frozen=True)
 class PilotLayout:
-    """Shared pilot prefix plus per-cell data symbols.
+    """Shared pilot prefix plus per-cell data symbols, and the least-squares
+    fit on that prefix.
 
     The pilot block has orthogonal rows with X_p X_p^H = K I and is reused by
-    every cell (full pilot reuse); data symbols are unit-energy QPSK.  It is
-    built once per layout and returned read-only.
+    every cell (full pilot reuse); data symbols are unit-energy QPSK.  The
+    pilot and the factors of its fit are built once per layout; the pilot is
+    read-only.
     """
 
     num_users: int
@@ -128,21 +130,29 @@ class PilotLayout:
         return self.block_length - self.num_users
 
     @cached_property
-    def _pilot(self) -> np.ndarray:
+    def pilot(self) -> np.ndarray:
         k = self.num_users  # scipy.linalg.dft(k), by scipy's own expression
         pilot = np.exp(-2j * np.pi * np.arange(k) / k).reshape(-1, 1) ** np.arange(k)
         pilot.flags.writeable = False
         return pilot
 
-    def pilot_block(self) -> np.ndarray:
-        return self._pilot
+    @cached_property
+    def _fit_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """X_p^H and (X_p X_p^H)^{-1}."""
+        return self.pilot.conj().T, np.linalg.inv(self.pilot @ self.pilot.conj().T)
+
+    def fit(self, z: np.ndarray) -> np.ndarray:
+        """Least-squares fit on the pilot prefix, Z_p X_p^H (X_p X_p^H)^{-1}
+        with Z_p the first K columns of ``z``, multiplied in that order."""
+        xh, gram_inv = self._fit_factors
+        return z[:, :self.num_users] @ xh @ gram_inv
 
     def data_block(self, rng: np.random.Generator) -> np.ndarray:
         bits = rng.integers(0, 2, size=(self.num_users, 2 * self.num_data))
         return qpsk_map(bits).reshape(self.num_users, self.num_data)
 
     def assemble(self, data: np.ndarray) -> np.ndarray:
-        return np.concatenate([self._pilot, data], axis=1)
+        return np.concatenate([self.pilot, data], axis=1)
 
 
 def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
@@ -173,27 +183,6 @@ def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=8)
-def _pilot_factors(dtype: str, shape: tuple, data: bytes):
-    """X_p^H and (X_p X_p^H)^{-1} of one pilot block, checked once."""
-    pilot = np.frombuffer(data, dtype=dtype).reshape(shape)
-    gram = pilot @ pilot.conj().T
-    if np.linalg.cond(gram) > 1e12:
-        raise ConfigError("pilot block is singular or near-singular")
-    return pilot.conj().T, np.linalg.inv(gram)
-
-
-def subspace_zf_resolve(projected_pilot: np.ndarray, pilot_block: np.ndarray) -> np.ndarray:
-    """Least-squares ambiguity resolution on the projected pilot block.
-
-    Ghat = Yp_tilde X_p^H (X_p X_p^H)^{-1}, multiplied in that order; raises
-    on a singular pilot block.
-    """
-    xh, gram_inv = _pilot_factors(pilot_block.dtype.str, pilot_block.shape,
-                                  pilot_block.tobytes())
-    return projected_pilot @ xh @ gram_inv
-
-
 def qpsk_quantize(z: np.ndarray) -> np.ndarray:
     """Nearest QPSK symbol per entry; zero components resolve to +."""
     re = np.where(z.real >= 0, 1.0, -1.0)
@@ -206,27 +195,19 @@ def mf_detect(projected_data: np.ndarray, estimate: np.ndarray) -> np.ndarray:
     return qpsk_quantize(estimate.conj().T @ projected_data)
 
 
-def estimate_subspace_channel(y: np.ndarray, pilot_block: np.ndarray,
-                              num_users: int) -> SubspaceModel:
-    """Full blind pipeline on one received block (pilot prefix first)."""
-    basis = signal_subspace(y, num_users)
+def estimate_subspace_channel(y: np.ndarray, layout: PilotLayout) -> SubspaceModel:
+    """Full blind pipeline on one received block (pilot prefix first): the
+    pilot fit resolves the projected block."""
+    basis = signal_subspace(y, layout.num_users)
     projected = basis.conj().T @ y
-    k = pilot_block.shape[1]
-    estimate = subspace_zf_resolve(projected[:, :k], pilot_block)
-    return SubspaceModel(basis=basis, projected=projected, estimate=estimate)
+    return SubspaceModel(basis=basis, projected=projected, estimate=layout.fit(projected))
 
 
-def pilot_based_estimate(y: np.ndarray, pilot_block: np.ndarray) -> np.ndarray:
-    """Classical LS channel estimate from the pilot prefix (M x K): the same
-    least-squares fit on the unprojected block."""
-    return subspace_zf_resolve(y[:, :pilot_block.shape[1]], pilot_block)
-
-
-def pilot_based_detect(y: np.ndarray, pilot_block: np.ndarray) -> np.ndarray:
-    """LS estimate then antenna-domain matched filtering of the data part."""
-    h_hat = pilot_based_estimate(y, pilot_block)
-    k = pilot_block.shape[1]
-    return qpsk_quantize(h_hat.conj().T @ y[:, k:])
+def pilot_based_detect(y: np.ndarray, layout: PilotLayout) -> np.ndarray:
+    """Classical LS channel estimate, the pilot fit of the raw block (M x K),
+    then antenna-domain matched filtering of the data part."""
+    h_hat = layout.fit(y)
+    return qpsk_quantize(h_hat.conj().T @ y[:, layout.num_users:])
 
 
 def qpsk_map(bits: np.ndarray) -> np.ndarray:

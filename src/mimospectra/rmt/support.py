@@ -260,6 +260,10 @@ def support_distinct(num_users: int, num_cells: int, num_antennas: int,
                      block_length: int, num_aoas: int, p_interference: float
                      ) -> SpectralSupport:
     """Interference-bulk support for equal per-cell AoA counts."""
+    for name, dim in (("num_users", num_users), ("num_antennas", num_antennas),
+                      ("block_length", block_length), ("num_aoas", num_aoas)):
+        if dim < 1:
+            raise ConfigError(f"{name} must be >= 1")
     if p_interference <= 0:
         raise ConfigError("p_interference must be positive")
     if num_cells < 2:

@@ -206,6 +206,9 @@ def law_support(params: SystemParams, name: str) -> rmt.SpectralSupport:
         users, power = ((k, params.signal_power) if name == "iid_signal"
                         else (k * (l - 1), params.interference_power))
         sup = rmt.support_iid(power, users / m, users / n)
+    elif not params.aoa_counts:
+        raise ConfigError(f"law {name!r} needs AoA counts; scenario {params.scenario!r} "
+                          "gives none")
     elif name in ("one_sided_signal", "one_sided_interference"):
         role = name.removeprefix("one_sided_")
         sup = rmt.support_onesided(getattr(rmt.OneSidedParams, role)(params))
@@ -318,7 +321,6 @@ def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple,
     layout = PilotLayout(num_users=k, block_length=n)
     bits_per_block = 2 * k * layout.num_data
     n_blocks = max(2, int(np.ceil(bits_target / bits_per_block)))
-    pilot = layout.pilot_block()
 
     def draw_symbols(rng):
         return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(l)])
@@ -326,9 +328,9 @@ def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple,
     def one_block(blk: int):
         y, x = draw_block(params, trial_rng(seed, point_key + (blk,)), draw_symbols)
         sent = x[:k, k:]
-        model = estimate_subspace_channel(y, pilot, k)
+        model = estimate_subspace_channel(y, layout)
         dec_sub = mf_detect(model.projected[:, k:], model.estimate)
-        dec_pil = pilot_based_detect(y, pilot)
+        dec_pil = pilot_based_detect(y, layout)
         return {name: count_bit_errors(dec, sent) / bits_per_block
                 for name, dec in (("subspace", dec_sub), ("pilot", dec_pil))}
 

@@ -236,9 +236,13 @@ class TestRealizeChannel:
         assert np.all(np.abs(mean - 1.0) < 0.02)
 
     def test_identical_shares_steering(self):
+        # the shared AoA set is kept once and steers every cell's columns
         ch = realize_channel(_params(), 5)
-        for s in ch.steering[1:]:
-            np.testing.assert_array_equal(s, ch.steering[0])
+        assert len(ch.aoas) == len(ch.steering) == 1
+        k = ch.params.users_per_cell
+        for cell, f in enumerate(ch.fading):
+            np.testing.assert_array_equal(ch.composite[:, cell * k:(cell + 1) * k],
+                                          ch.steering[0] @ f)
 
     def test_distinct_draws_independent_sets(self):
         with pytest.warns(UserWarning, match="K << P"):

@@ -568,6 +568,26 @@ BAD_INPUTS = {
     "set-label-empty": ("label", ["--set", 'label=""'], PIN_CONFIGS["eigen"]),
     "set-label-dot": ("label", ["--set", "label=."], PIN_CONFIGS["eigen"]),
     "set-label-dotdot": ("label", ["--set", "label=.."], PIN_CONFIGS["eigen"]),
+    # the one-sided and joint laws read the first AoA count: on the i.d.
+    # channel without counts, the fig1 and fig2 modes ended in an IndexError
+    "set-onesided-iid-no-aoas": ("scenario", ["--set", "scenario=iid", "--set", "aoa_counts=[]"],
+                                 dict(PIN_CONFIGS["support_plot"], modes=["onesided", "iid"])),
+    "set-double-iid-no-aoas": ("scenario", ["--set", "scenario=iid", "--set", "aoa_counts=[]"],
+                               dict(PIN_CONFIGS["support_plot"], modes=["double", "iid"])),
+    # desk scale halves only a preset: with --config alone it ran at paper scale
+    "config-desk-scale": ("--preset", ["--scale", "desk"], PIN_CONFIGS["eigen"]),
+    # non-positive dimensions ended with a table overflow or a grid that
+    # "did not resolve the bulk"
+    "support-distinct-no-antennas": ("num_antennas", ["support", "--mode", "distinct"],
+                                     dict(_DISTINCT_LAW, num_antennas=0)),
+    "support-distinct-no-block": ("block_length", ["support", "--mode", "distinct"],
+                                  dict(_DISTINCT_LAW, block_length=0, num_aoas=0)),
+    "support-distinct-no-users": ("num_users", ["support", "--mode", "distinct"],
+                                  dict(_DISTINCT_LAW, num_users=0)),
+    "support-distinct-negative-users": ("num_users", ["support", "--mode", "distinct"],
+                                        dict(_DISTINCT_LAW, num_users=-5)),
+    "support-distinct-no-aoas": ("num_aoas", ["support", "--mode", "distinct"],
+                                 dict(_DISTINCT_LAW, num_aoas=0)),
 }
 
 

@@ -14,11 +14,9 @@ from mimospectra.estimation import (
     estimate_subspace_channel,
     mf_detect,
     pilot_based_detect,
-    pilot_based_estimate,
     qpsk_map,
     qpsk_quantize,
     signal_subspace,
-    subspace_zf_resolve,
 )
 
 
@@ -211,7 +209,7 @@ class TestHermitianSolver:
 
     def test_pilot_is_scipy_dft(self):
         for k in range(1, 17):
-            pilot = PilotLayout(num_users=k, block_length=k + 1).pilot_block()
+            pilot = PilotLayout(num_users=k, block_length=k + 1).pilot
             want = scipy.linalg.dft(k)
             assert pilot.dtype == want.dtype and pilot.shape == want.shape
             assert pilot.tobytes() == want.tobytes()
@@ -222,21 +220,17 @@ class TestZfResolve:
     def test_noiseless_equals_projected_channel(self, rng):
         y, h, layout, _ = _single_cell_block(rng)
         u = signal_subspace(y, 4)
-        g = subspace_zf_resolve((u.conj().T @ y)[:, :4], layout.pilot_block())
+        g = layout.fit((u.conj().T @ y)[:, :4])
         expected = u.conj().T @ h * np.sqrt(0.25)
         assert np.abs(g - expected).max() < 1e-10
 
     def test_matches_plain_inverse_for_square_pilots(self, rng):
-        xp = PilotLayout(num_users=4, block_length=8).pilot_block()
+        layout = PilotLayout(num_users=4, block_length=8)
+        xp = layout.pilot
         yp = crandn(rng, 4, 4)
-        g1 = subspace_zf_resolve(yp, xp)
+        g1 = layout.fit(yp)
         g2 = yp @ np.linalg.inv(xp)
         assert np.abs(g1 - g2).max() < 1e-12
-
-    def test_singular_pilot_rejected(self):
-        xp = np.ones((3, 3), dtype=complex)
-        with pytest.raises(ConfigError):
-            subspace_zf_resolve(np.eye(3, dtype=complex), xp)
 
     def test_estimation_error_decreases_with_antennas(self):
         # relative subspace-channel error over M in {50, 100, 200}, noisy
@@ -258,7 +252,7 @@ class TestZfResolve:
                     y += np.sqrt(pw) * (ch.composite[:, 5 * i:5 * (i + 1)]
                                         @ layout.assemble(data[i]))
                 y += crandn(g, m, 400)
-                model = estimate_subspace_channel(y, layout.pilot_block(), 5)
+                model = estimate_subspace_channel(y, layout)
                 ref = model.basis.conj().T @ ch.composite[:, :5] * np.sqrt(params.signal_power)
                 tot += float(np.linalg.norm(model.estimate - ref) / np.linalg.norm(ref))
             errs.append(tot / 30)
@@ -266,34 +260,29 @@ class TestZfResolve:
 
 
 class TestPilotFactors:
-    """The pilot block and its Gram inverse are built and checked once."""
+    """The pilot block and the factors of its fit are built once."""
 
     def test_pilot_block_built_once_and_read_only(self):
         layout = PilotLayout(num_users=4, block_length=8)
-        assert layout.pilot_block() is layout.pilot_block()
-        assert not layout.pilot_block().flags.writeable
+        assert layout.pilot is layout.pilot
+        assert not layout.pilot.flags.writeable
         np.testing.assert_array_equal(layout.assemble(np.zeros((4, 4)))[:, :4],
-                                      layout.pilot_block())
+                                      layout.pilot)
 
     def test_least_squares_keeps_product_order(self, rng):
-        xp = PilotLayout(num_users=5, block_length=9).pilot_block()
+        layout = PilotLayout(num_users=5, block_length=9)
+        xp = layout.pilot
         y = crandn(rng, 7, 9)
         want = y[:, :5] @ xp.conj().T @ np.linalg.inv(xp @ xp.conj().T)
         for _ in range(2):  # the second call reads the cached factors
-            np.testing.assert_array_equal(subspace_zf_resolve(y[:, :5], xp), want)
-            np.testing.assert_array_equal(pilot_based_estimate(y, xp), want)
-
-    def test_singular_pilot_rejected_on_every_call(self):
-        xp = np.ones((3, 3), dtype=complex)
-        for _ in range(2):
-            with pytest.raises(ConfigError):
-                pilot_based_estimate(np.eye(3, dtype=complex), xp)
+            np.testing.assert_array_equal(layout.fit(y[:, :5]), want)
+            np.testing.assert_array_equal(layout.fit(y), want)
 
 
 class TestMfDetect:
     def test_noiseless_single_user_exact(self, rng):
         y, h, layout, data = _single_cell_block(rng, k=1)
-        model = estimate_subspace_channel(y, layout.pilot_block(), 1)
+        model = estimate_subspace_channel(y, layout)
         dec = mf_detect(model.projected[:, 1:], model.estimate)
         assert count_bit_errors(dec, data) == 0
 
@@ -304,7 +293,7 @@ class TestMfDetect:
         layout = PilotLayout(num_users=k, block_length=n)
         data = layout.data_block(rng)
         y = q @ layout.assemble(data)
-        model = estimate_subspace_channel(y, layout.pilot_block(), k)
+        model = estimate_subspace_channel(y, layout)
         dec = mf_detect(model.projected[:, k:], model.estimate)
         assert data.size == k * 200
         assert count_bit_errors(dec, data) == 0
@@ -334,13 +323,13 @@ class TestPilotBased:
         for i in range(3):
             pw = params.signal_power if i == 0 else params.interference_power
             y += np.sqrt(pw) * (cell[i] @ layout.assemble(data[i]))
-        h_hat = pilot_based_estimate(y, layout.pilot_block())
+        h_hat = layout.fit(y)
         expected = np.sqrt(0.2) * cell[0] + np.sqrt(0.05) * (cell[1] + cell[2])
         assert np.abs(h_hat - expected).max() < 1e-10
 
     def test_single_cell_noiseless_detection(self, rng):
         y, h, layout, data = _single_cell_block(rng, m=256, p=128, k=4, n=64)
-        dec = pilot_based_detect(y, layout.pilot_block())
+        dec = pilot_based_detect(y, layout)
         ber = count_bit_errors(dec, data) / (2 * data.size)
         assert ber < 0.01
 
@@ -400,7 +389,7 @@ class TestProjectionProperties:
         assert np.degrees(subspace_angles(u, h).max()) < 1e-6
         assert np.linalg.norm(u - h / np.linalg.norm(h, axis=0)) > 1e-3
         # the pilot block pins the projected channel exactly
-        model = estimate_subspace_channel(y, layout.pilot_block(), 4)
+        model = estimate_subspace_channel(y, layout)
         expected = u.conj().T @ h * np.sqrt(0.25)
         # basis sign/phase conventions agree because both come from the svd
         assert np.abs(model.estimate - expected).max() < 1e-10
