@@ -24,12 +24,6 @@ from .errors import ConfigError
 SCENARIOS = ("iid", "identical_aoas", "distinct_aoas")
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
     """CN(0,1) array: variance 1/2 per real component.
 
@@ -163,7 +157,7 @@ def draw_aoa_set(num_paths: int, seed) -> np.ndarray:
     """num_paths i.i.d. angles, uniform on [0, pi]; deterministic per seed."""
     if num_paths < 1:
         raise ConfigError("num_paths must be >= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     return rng.uniform(0.0, np.pi, num_paths)
 
 
@@ -249,7 +243,7 @@ def realize_channel(params: SystemParams, seed) -> ChannelRealization:
     independent set per cell; iid fills the composite with CN(0,1) entries
     directly.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     m, k, n_cells = params.num_antennas, params.users_per_cell, params.num_cells
     if params.scenario == "iid":
         return ChannelRealization(params=params, iid_composite=crandn(rng, m, k * n_cells))

@@ -7,8 +7,7 @@ Subcommands:
 * ``support``   -- evaluate a support-boundary solver for a params file.
 * ``stieltjes`` -- evaluate one law at one complex point.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Worker
-thread count comes from the MIMOSPECTRA_WORKERS environment variable.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -240,13 +239,12 @@ def _support_payload(sup: rmt.SpectralSupport | None):
     return None if sup is None else [[lo, hi] for lo, hi in sup.intervals]
 
 
-def _eigen_payload(result: sim.EigenExperimentResult) -> dict:
+def _eigen_payload(samples: list[np.ndarray], supports: dict) -> dict:
     payload = {
-        "samples_per_trial": [s.tolist() for s in result.samples_per_trial],
-        "supports": {name: _support_payload(sup)
-                     for name, sup in result.supports.items()},
+        "samples_per_trial": [s.tolist() for s in samples],
+        "supports": {name: _support_payload(sup) for name, sup in supports.items()},
     }
-    for sup in result.supports.values():
+    for sup in supports.values():
         if sup.truncation is not None:
             payload["truncation"] = {**dataclasses.asdict(sup.truncation),
                                      "flags": sup.truncation.flags}
@@ -259,14 +257,15 @@ def _ber_payload(results: dict[str, list[sim.BerPoint]]) -> dict:
 
 
 def _run_eigen(cfg: dict, params: SystemParams) -> dict:
-    res = sim.run_eigen_experiment(params, cfg["trials"], cfg["seed"], terms=cfg["terms"])
-    return {"eigen": _eigen_payload(res)}
+    samples = sim.run_eigen_experiment(params, cfg["trials"], cfg["seed"], terms=cfg["terms"])
+    return {"eigen": _eigen_payload(samples, sim.overlays(params, cfg["terms"]))}
 
 
 def _run_saturation(cfg: dict, params: SystemParams) -> dict:
     phys, iid = sim.run_saturation_experiment(cfg["num_aoas"], cfg["m_physical"], params,
                                               cfg["trials"], cfg["seed"])
-    return {"saturation": {"physical": _eigen_payload(phys), "iid": _eigen_payload(iid)}}
+    return {"saturation": {"physical": _eigen_payload(phys, {}),
+                           "iid": _eigen_payload(iid, {})}}
 
 
 # support_plot mode -> the sim.law_support names it writes; a run without

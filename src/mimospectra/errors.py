@@ -14,13 +14,5 @@ class NumericalError(RuntimeError):
 
 
 class BranchTrackingError(NumericalError):
-    """Root continuation lost the physical branch.
-
-    Carries the candidate roots at the failure point so the caller can
-    inspect what the tracker saw.
-    """
-
-    def __init__(self, message, roots=None):
-        super().__init__(message)
-        self.roots = list(roots) if roots is not None else []
+    """Root continuation lost the physical branch."""
 

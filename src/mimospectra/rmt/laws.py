@@ -226,7 +226,7 @@ def _track_to(table: np.ndarray, s_from: complex, g_from: complex, s_to: complex
     if depth >= 24:
         raise BranchTrackingError(
             f"ambiguous branch near s={s_to:.6g} (margin {margin:.3f}); "
-            f"candidate roots: {roots}", roots=roots)
+            f"candidate roots: {roots}")
     mid = 0.5 * (s_from + s_to)
     g_mid = _track_to(table, s_from, g_from, mid, depth + 1)
     return _track_to(table, mid, g_mid, s_to, depth + 1)
@@ -246,8 +246,7 @@ def _trace_from_anchor(table: np.ndarray, s: complex) -> complex:
         s_prev = complex(sk)
     if g.imag < -1e-10:
         raise BranchTrackingError(
-            f"tracked root lost Herglotz property at s={s:.6g}: G={g:.6g}",
-            roots=_roots_at(table, [s])[0])
+            f"tracked root lost Herglotz property at s={s:.6g}: G={g:.6g}")
     return g
 
 

@@ -6,18 +6,16 @@ N*p_interference), while the analytic laws describe the Y^H Y / (M N)
 normalization; attached supports are therefore scaled by N before overlay.
 
 Trials are independent work units seeded as (seed, trial_index) streams, so
-any execution schedule produces identical results; the optional thread pool
-size comes from the MIMOSPECTRA_WORKERS environment variable.  Trials run
-with one BLAS thread: their matrices are small enough that BLAS threading
-costs more than it saves, and a fixed thread count makes the floating-point
-results independent of OPENBLAS_NUM_THREADS.
+trial order never changes a result; they run in order, one after another.
+Trials run with one BLAS thread: their matrices are small enough that BLAS
+threading costs more than it saves, and a fixed thread count makes the
+floating-point results independent of OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -44,19 +42,6 @@ def trial_rng(seed, trial_index) -> np.random.Generator:
     """Independent, schedule-invariant stream for one trial."""
     key = trial_index if isinstance(trial_index, tuple) else (trial_index,)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-def _workers() -> int:
-    """Thread-pool size from MIMOSPECTRA_WORKERS (default 1), capped at the
-    CPU count; a non-integer or a value below 1 is a config error."""
-    raw = os.environ.get("MIMOSPECTRA_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"MIMOSPECTRA_WORKERS={raw!r}; expected an integer >= 1")
-    return min(workers, os.cpu_count() or 1)
 
 
 @functools.cache
@@ -92,14 +77,8 @@ def _one_blas_thread():
 
 
 def _map_trials(fn, n_trials: int):
-    workers = _workers()
     with _one_blas_thread():
-        if workers == 1:
-            return [fn(t) for t in range(n_trials)]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(n_trials)))
+        return [fn(t) for t in range(n_trials)]
 
 
 def worst_case_power_diagonal(num_users: int, num_cells: int,
@@ -116,15 +95,6 @@ def worst_case_power_diagonal(num_users: int, num_cells: int,
 # ---------------------------------------------------------------------------
 # eigenvalue experiments
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EigenExperimentResult:
-    """Each trial's nonzero eigenvalues of Y Y^H / M, and the N-scaled
-    analytic supports attached to them."""
-
-    samples_per_trial: list[np.ndarray]
-    supports: dict[str, rmt.SpectralSupport]
-
 
 def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
                cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -224,13 +194,14 @@ def law_support(params: SystemParams, name: str) -> rmt.SpectralSupport:
     return sup.scaled(n)
 
 
-def _attach_supports(params: SystemParams, terms: str) -> dict[str, rmt.SpectralSupport]:
-    """The scenario's analytic supports for the selected terms; a law that
-    cannot be built is skipped with a warning."""
+def overlays(params: SystemParams, terms: str) -> dict[str, rmt.SpectralSupport]:
+    """The scenario's analytic supports for the selected terms, to overlay on
+    ``run_eigen_experiment``; a law that cannot be built is skipped with a warning."""
+    _term_columns(params, terms)
     supports: dict[str, rmt.SpectralSupport] = {}
     if params.noise_enabled:
         warnings.warn("could not attach supports: noise enabled, and the laws "
-                      "describe noiseless blocks", stacklevel=3)
+                      "describe noiseless blocks", stacklevel=2)
         return supports
     sig, intf, joint = _OVERLAYS[params.scenario]
     names = {"all": (sig, intf, joint), "signal": (sig,), "interference": (intf,)}[terms]
@@ -241,14 +212,13 @@ def _attach_supports(params: SystemParams, terms: str) -> dict[str, rmt.Spectral
         try:
             supports[name] = law_support(params, name)
         except ConfigError as exc:
-            warnings.warn(f"could not attach {name} support: {exc}", stacklevel=3)
+            warnings.warn(f"could not attach {name} support: {exc}", stacklevel=2)
     return supports
 
 
 def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
-                         terms: str = "all",
-                         attach_supports: bool = True) -> EigenExperimentResult:
-    """Pool nonzero eigenvalues of Y Y^H / M over independent coherence blocks.
+                         terms: str = "all") -> list[np.ndarray]:
+    """Each trial's nonzero eigenvalues of Y Y^H / M, one array per coherence block.
 
     Blocks are noiseless by default (high-SNR regime) unless the params
     enable noise; inputs are unit-variance Gaussian symbols, drawn as the
@@ -273,14 +243,12 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
             lam = _product_eigs(channel, cols, amp[:, None] * bartlett_factor(rng, c, n))
         return lam[lam > NONZERO_EIG_RTOL * lam.max(initial=0.0)]
 
-    samples = _map_trials(one_trial, trials)
-    supports = _attach_supports(params, terms) if attach_supports else {}
-    return EigenExperimentResult(samples, supports)
+    return _map_trials(one_trial, trials)
 
 
 def run_saturation_experiment(num_aoas: int, m_physical: int, params: SystemParams,
                               trials: int, seed: int
-                              ) -> tuple[EigenExperimentResult, EigenExperimentResult]:
+                              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Paired spectra: physical channel at M = m_physical with P AoAs versus
     the i.d. channel with M = P antennas, same K, L, N, and powers."""
     if m_physical < num_aoas:
@@ -288,9 +256,8 @@ def run_saturation_experiment(num_aoas: int, m_physical: int, params: SystemPara
     phys = replace(params, scenario="identical_aoas", num_antennas=m_physical,
                    aoa_counts=(num_aoas,))
     iid = replace(params, scenario="iid", num_antennas=num_aoas, aoa_counts=())
-    res_phys = run_eigen_experiment(phys, trials, seed, attach_supports=False)
-    res_iid = run_eigen_experiment(iid, trials, seed + 1, attach_supports=False)
-    return res_phys, res_iid
+    return (run_eigen_experiment(phys, trials, seed),
+            run_eigen_experiment(iid, trials, seed + 1))
 
 
 # ---------------------------------------------------------------------------

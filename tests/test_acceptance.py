@@ -48,9 +48,9 @@ FIG3_USERS = FIG3.users_per_cell * FIG3.num_cells
 FIG3_SPLIT = FIG3.users_per_cell * (FIG3.num_cells - 1)
 
 
-def _split_bulks(result):
-    lows = np.concatenate([np.sort(s)[:FIG3_SPLIT] for s in result.samples_per_trial])
-    highs = np.concatenate([np.sort(s)[FIG3_SPLIT:] for s in result.samples_per_trial])
+def _split_bulks(samples):
+    lows = np.concatenate([np.sort(s)[:FIG3_SPLIT] for s in samples])
+    highs = np.concatenate([np.sort(s)[FIG3_SPLIT:] for s in samples])
     return lows, highs
 
 
@@ -69,8 +69,9 @@ def _law_bulk_medians(evaluator, intervals, points=2001, eps=1e-7):
 @pytest.fixture(scope="module")
 def fig3_run():
     t0 = time.time()
-    res = sim.run_eigen_experiment(FIG3, trials=20, seed=1234)
-    return res, time.time() - t0
+    samples = sim.run_eigen_experiment(FIG3, trials=20, seed=1234)
+    supports = sim.overlays(FIG3, "all")
+    return samples, supports, time.time() - t0
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +79,10 @@ def fig3_law(fig3_run):
     """Law medians and masses per double-sided support interval, N-scaled
     like the Monte Carlo spectrum; apart from fig3_run so that fixture's
     timer covers the run alone."""
-    res, _ = fig3_run
+    _, supports, _ = fig3_run
     n = FIG3.block_length
     law = rmt.DoubleSidedParams.from_system(FIG3)
-    intervals = [(lo / n, hi / n) for lo, hi in res.supports["double_sided"].intervals]
+    intervals = [(lo / n, hi / n) for lo, hi in supports["double_sided"].intervals]
     return [(med * n, mass) for med, mass in
             _law_bulk_medians(lambda s: rmt.stieltjes_double_sided(s, law), intervals)]
 
@@ -101,8 +102,8 @@ def test_criterion_1_law_median_helper_mp_oracle():
 
 
 def test_criterion_1_bulk_medians(fig3_run, fig3_law):
-    res, _ = fig3_run
-    lows, highs = _split_bulks(res)
+    samples, _, _ = fig3_run
+    lows, highs = _split_bulks(samples)
     assert len(fig3_law) == 2, f"expected two law bulks, got {len(fig3_law)}"
     (law_lo, mass_lo), (law_hi, mass_hi) = fig3_law
     med_lo, med_hi = np.median(lows), np.median(highs)
@@ -130,12 +131,12 @@ def test_criterion_1_bulk_medians(fig3_run, fig3_law):
 
 
 def test_criterion_1_support_containment_and_runtime(fig3_run):
-    res, elapsed = fig3_run
-    sup = res.supports["double_sided"]
+    samples, supports, elapsed = fig3_run
+    sup = supports["double_sided"]
     assert len(sup.intervals) == 2
-    pooled = np.concatenate(res.samples_per_trial)
+    pooled = np.concatenate(samples)
     frac = oracles.contains(sup, pooled, slack=0.05).mean()
-    lows, highs = _split_bulks(res)
+    lows, highs = _split_bulks(samples)
     edges = [(sup.intervals[0][0], lows.min()), (sup.intervals[0][1], lows.max()),
              (sup.intervals[1][0], highs.min()), (sup.intervals[1][1], highs.max())]
     edge_errs = [abs(a - e) / e for a, e in edges]
@@ -222,8 +223,8 @@ def test_criterion_6_antenna_saturation():
         phys, iid = sim.run_saturation_experiment(100, m_phys, base, trials=500,
                                                   seed=77)
         if ref is None:
-            ref = np.concatenate(iid.samples_per_trial)
-        pooled = np.concatenate(phys.samples_per_trial)
+            ref = np.concatenate(iid)
+        pooled = np.concatenate(phys)
         assert pooled.size >= 10_000 and ref.size >= 10_000
         ks_values.append(ks_2samp(pooled, ref).statistic)
     monotone = all(a >= b - 1e-12 for a, b in zip(ks_values, ks_values[1:]))
@@ -245,7 +246,7 @@ def test_criterion_6_saturation_at_large_m():
     for m_phys in (10_000, 100_000):
         phys, iid = sim.run_saturation_experiment(100, m_phys, base, trials=500,
                                                   seed=77)
-        pooled, ref = (np.concatenate(r.samples_per_trial) for r in (phys, iid))
+        pooled, ref = (np.concatenate(r) for r in (phys, iid))
         assert pooled.size >= 10_000 and ref.size >= 10_000
         ks_values.append(ks_2samp(pooled, ref).statistic)
     elapsed = time.time() - t0
@@ -261,20 +262,19 @@ def test_criterion_7_distinct_widening():
                 spacing_ratio=2.0, scenario="distinct_aoas")
     equal = SystemParams(aoa_counts=(200,) * 4, **base)
     skew = SystemParams(aoa_counts=(200, 200, 200, 20), **base)
-    res_e = sim.run_eigen_experiment(equal, 20, 11, attach_supports=False)
-    res_s = sim.run_eigen_experiment(skew, 20, 11, attach_supports=False)
+    res_e = sim.run_eigen_experiment(equal, 20, 11)
+    res_s = sim.run_eigen_experiment(skew, 20, 11)
 
     def width_ci(res):
-        w = np.array([np.ptp(np.sort(s)[:15]) for s in res.samples_per_trial])
+        w = np.array([np.ptp(np.sort(s)[:15]) for s in res])
         return w.mean(), 1.96 * w.std(ddof=1) / np.sqrt(len(w))
 
     me, he = width_ci(res_e)
     ms, hs = width_ci(res_s)
     separated = ms - hs > me + he
 
-    intf = sim.run_eigen_experiment(equal, 20, 12, terms="interference",
-                                    attach_supports=False)
-    pooled = np.concatenate(intf.samples_per_trial)
+    intf = sim.run_eigen_experiment(equal, 20, 12, terms="interference")
+    pooled = np.concatenate(intf)
     sup = rmt.support_distinct(5, 4, 400, 1000, 200, P_I).scaled(1000)
     (lo, hi), = sup.intervals
     edge_ok = (abs(lo - pooled.min()) / pooled.min() < 0.10

@@ -674,17 +674,16 @@ _THREAD_CONFIGS = {
 @pytest.mark.parametrize("kind", sorted(_THREAD_CONFIGS))
 def test_payload_bytes_invariant_to_thread_settings(kind, tmp_path):
     """The README promise: identical config and seed give identical bytes,
-    whatever OPENBLAS_NUM_THREADS and MIMOSPECTRA_WORKERS say."""
+    whatever OPENBLAS_NUM_THREADS says."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(_THREAD_CONFIGS[kind], label="t")))
     src = str(Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MIMOSPECTRA_WORKERS")}
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
     outputs = {}
     for name, extra in (("blas1", {"OPENBLAS_NUM_THREADS": "1"}),
-                        ("blas2", {"OPENBLAS_NUM_THREADS": "2"}),
-                        ("workers2", {"MIMOSPECTRA_WORKERS": "2"})):
+                        ("blas2", {"OPENBLAS_NUM_THREADS": "2"})):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "mimospectra.cli", "run", "--config", str(config),
@@ -694,7 +693,7 @@ def test_payload_bytes_invariant_to_thread_settings(kind, tmp_path):
         payload = json.loads((out / "t_result.json").read_text())["payload"]
         outputs[name] = [json.dumps(payload, sort_keys=True).encode()] + [
             path.read_bytes() for path in sorted(out.glob("*.csv"))]
-    assert outputs["blas1"] == outputs["blas2"] == outputs["workers2"]
+    assert outputs["blas1"] == outputs["blas2"]
 
 
 # modules that no run uses: scipy's (the bundled OpenBLAS is found from its
@@ -714,7 +713,6 @@ def test_import_leaves_scipy_linalg_unloaded(tmp_path):
         configs[-1].write_text(json.dumps(dict(PIN_CONFIGS[kind], label=kind)))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
-    env.pop("MIMOSPECTRA_WORKERS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, mimospectra.cli, mimospectra.rmt\n"
             f"unused = {UNUSED_MODULES!r}\n"

@@ -549,9 +549,8 @@ class TestErrorContracts:
         from mimospectra.errors import BranchTrackingError
         # symmetric roots keep the nearest-root choice ambiguous at any depth
         table = np.array([[-1.0, 0.0, 1.0]])  # G^2 - 1
-        with pytest.raises(BranchTrackingError) as err:
+        with pytest.raises(BranchTrackingError, match="candidate roots"):
             _track_to(table, 1j, 0.0 + 0.0j, 2j)
-        assert len(err.value.roots) == 2
 
     @pytest.mark.parametrize("call", [
         lambda: rmt.iid_limit_residual(0.1 + 0.01j, 1 + 1j, -1.0, 0.01, 0.005),

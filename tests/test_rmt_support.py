@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 import mimospectra.rmt.support as support_mod
 import oracles
@@ -361,6 +362,70 @@ def test_support_matches_recorded_intervals(name):
     for (lo, hi), (elo, ehi) in zip(got, expected):
         assert lo == pytest.approx(elo, rel=1e-6)
         assert hi == pytest.approx(ehi, rel=1e-6)
+
+
+def _branch_point(table, s, x, steps=50):
+    """Newton on F = dF/dx = 0 for the inverse-function table F(s, x) (entry
+    [a, b] the coefficient of s^a x^b) from (s, x); None on a singular step."""
+    fx = npp.polyder(table, axis=1)
+    jac = [[npp.polyder(table, axis=0), fx],
+           [npp.polyder(fx, axis=0), npp.polyder(fx, axis=1)]]
+    for _ in range(steps):
+        f = [npp.polyval2d(s, x, table), npp.polyval2d(s, x, fx)]
+        try:
+            ds, dx = np.linalg.solve(
+                [[npp.polyval2d(s, x, c) for c in row] for row in jac], f)
+        except np.linalg.LinAlgError:
+            return None
+        s, x = s - ds, x - dx
+    return s, x
+
+
+_FIG_ONE = dict(m=M, n=N, p=P)
+_FIG_DOUBLE = rmt.DoubleSidedParams(num_users=K, num_cells=L, num_antennas=M,
+                                    block_length=N, num_aoas=P, p_signal=PS_FIG,
+                                    p_interference=PI_FIG)
+# the fig-point laws of sim.law_support (before N scaling) -> inverse tables
+FIG_TABLES = {
+    "iid_signal": lambda: support_mod.iid_inverse_coeffs(PS_FIG, K / M, K / N),
+    "iid_interference": lambda: support_mod.iid_inverse_coeffs(
+        PI_FIG, K * (L - 1) / M, K * (L - 1) / N),
+    "one_sided_signal": lambda: support_mod.onesided_inverse_coeffs(
+        rmt.OneSidedParams(scale=PS_FIG, inner_dim=K, **_FIG_ONE)),
+    "one_sided_interference": lambda: support_mod.onesided_inverse_coeffs(
+        rmt.OneSidedParams(scale=PI_FIG, inner_dim=K * (L - 1), **_FIG_ONE)),
+    "double_sided": lambda: support_mod.double_inverse_coeffs(_FIG_DOUBLE),
+    "distinct_interference": lambda: support_mod.distinct_inverse_coeffs(
+        K, L, M, N, P, PI_FIG),
+}
+# known scan-vs-branch-point gaps (ROADMAP item 3): 2.8e-5 to 1.6e-4 relative,
+# where the law's density is already zero; exact edges move the benchmark's
+# stored fig-point references, so the fix waits for a re-record
+_EDGE_GAP = pytest.mark.xfail(strict=True, raises=AssertionError,
+                              reason="scan edge off the branch point (ROADMAP item 3)")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=_EDGE_GAP) if name in (
+        "iid_signal", "iid_interference", "double_sided", "distinct_interference")
+    else name for name in FIG_TABLES])
+def test_fig_point_edges_are_branch_points(name):
+    """A support edge is a real branch point of the inverse function s(x):
+    a real solution of F = dF/dx = 0.  Newton from every scan edge and every
+    root x of F(edge, x) must find one within 1e-6 of each edge."""
+    table = FIG_TABLES[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        edges = np.ravel(support_mod.scan_support(table, name).intervals)
+    for edge in edges:
+        starts = np.roots(npp.polyval(edge, table)[::-1])
+        found = [_branch_point(table, complex(edge), complex(x0)) for x0 in starts]
+        real = [s.real for s, x in filter(None, found)
+                if abs(s.imag) <= 1e-9 * abs(s) and abs(x.imag) <= 1e-9 * abs(x)]
+        assert real, f"{name}: no real branch point from edge {edge}"
+        nearest = min(real, key=lambda r: abs(r - edge))
+        assert abs(nearest - edge) <= 1e-6 * edge, \
+            f"{name}: edge {edge}, branch point {nearest}"
 
 
 # scan_pins.json holds 40 seeded random scans, ten per law, recorded from the

@@ -1,7 +1,5 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -38,50 +36,52 @@ class TestPowerDiagonal:
 class TestEigenExperiment:
     def test_single_cell_rank(self):
         p = _params(num_cells=1, num_antennas=50, block_length=100, aoa_counts=(25,))
-        res = sim.run_eigen_experiment(p, trials=4, seed=0, attach_supports=False)
-        for s in res.samples_per_trial:
+        res = sim.run_eigen_experiment(p, trials=4, seed=0)
+        for s in res:
             assert len(s) == 5
-        pooled = np.concatenate(res.samples_per_trial)
+        pooled = np.concatenate(res)
         assert pooled.max() / pooled.min() < 50  # one bulk, no split
 
     def test_rank_bound_all_terms(self):
         p = _params()
-        res = sim.run_eigen_experiment(p, trials=3, seed=1, attach_supports=False)
-        for s in res.samples_per_trial:
+        res = sim.run_eigen_experiment(p, trials=3, seed=1)
+        for s in res:
             assert len(s) == min(200, 500, 20)
 
     def test_terms_selectors(self):
         p = _params()
-        sig = sim.run_eigen_experiment(p, 2, 2, terms="signal", attach_supports=False)
-        intf = sim.run_eigen_experiment(p, 2, 2, terms="interference",
-                                        attach_supports=False)
-        assert all(len(s) == 5 for s in sig.samples_per_trial)
-        assert all(len(s) == 15 for s in intf.samples_per_trial)
+        sig = sim.run_eigen_experiment(p, 2, 2, terms="signal")
+        intf = sim.run_eigen_experiment(p, 2, 2, terms="interference")
+        assert all(len(s) == 5 for s in sig)
+        assert all(len(s) == 15 for s in intf)
         with pytest.raises(ConfigError):
             sim.run_eigen_experiment(p, 1, 0, terms="bogus")
+        with pytest.raises(ConfigError):
+            sim.overlays(p, "bogus")
 
     def test_seed_determinism(self):
         p = _params()
-        a = sim.run_eigen_experiment(p, 5, 7, attach_supports=False)
-        b = sim.run_eigen_experiment(p, 5, 7, attach_supports=False)
-        for x, y in zip(a.samples_per_trial, b.samples_per_trial):
+        a = sim.run_eigen_experiment(p, 5, 7)
+        b = sim.run_eigen_experiment(p, 5, 7)
+        for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_support_containment_invariant(self):
         p = _params()
         res = sim.run_eigen_experiment(p, trials=10, seed=3)
-        assert "double_sided" in res.supports
-        pooled = np.concatenate(res.samples_per_trial)
-        inside = oracles.contains(res.supports["double_sided"], pooled, slack=0.05)
+        supports = sim.overlays(p, "all")
+        assert "double_sided" in supports
+        pooled = np.concatenate(res)
+        inside = oracles.contains(supports["double_sided"], pooled, slack=0.05)
         assert inside.mean() >= 0.99
 
     def test_two_bulk_structure_desk_scale(self):
         p = _params()
-        res = sim.run_eigen_experiment(p, trials=10, seed=4, attach_supports=False)
-        pooled = np.sort(np.concatenate(res.samples_per_trial))
+        res = sim.run_eigen_experiment(p, trials=10, seed=4)
+        pooled = np.sort(np.concatenate(res))
         per_trial = 20
-        lows = np.concatenate([np.sort(s)[:15] for s in res.samples_per_trial])
-        highs = np.concatenate([np.sort(s)[15:] for s in res.samples_per_trial])
+        lows = np.concatenate([np.sort(s)[:15] for s in res])
+        highs = np.concatenate([np.sort(s)[15:] for s in res])
         assert lows.max() < highs.min()  # separated clusters
         # desk-scale ratios skew the bulks further below their centers than
         # the full-size run (checked at 10% in the acceptance suite)
@@ -96,11 +96,11 @@ class TestEigenExperiment:
         equal = SystemParams(aoa_counts=(100, 100, 100, 100), **base)
         with pytest.warns(UserWarning, match="K << P"):
             skew = SystemParams(aoa_counts=(100, 100, 100, 10), **base)
-        res_e = sim.run_eigen_experiment(equal, 10, 5, attach_supports=False)
-        res_s = sim.run_eigen_experiment(skew, 10, 5, attach_supports=False)
+        res_e = sim.run_eigen_experiment(equal, 10, 5)
+        res_s = sim.run_eigen_experiment(skew, 10, 5)
 
         def intf_width(res):
-            return np.array([np.ptp(np.sort(s)[:15]) for s in res.samples_per_trial])
+            return np.array([np.ptp(np.sort(s)[:15]) for s in res])
 
         assert intf_width(res_s).mean() > intf_width(res_e).mean()
 
@@ -121,9 +121,9 @@ class TestEigenExperiment:
     def test_noisy_path_uses_full_spectrum(self):
         p = _params(noise_enabled=True, num_antennas=50, block_length=80,
                     aoa_counts=(25,))
-        res = sim.run_eigen_experiment(p, 1, 6, attach_supports=False)
+        res = sim.run_eigen_experiment(p, 1, 6)
         # noise lifts the rank: all min(M, N) eigenvalues are nonzero
-        assert len(res.samples_per_trial[0]) == 50
+        assert len(res[0]) == 50
 
 
 def _noiseless_block(p, rng):
@@ -221,8 +221,7 @@ class TestBartlettFactor:
         p = _params(num_antennas=16, users_per_cell=2, num_cells=2, block_length=8,
                     aoa_counts=(12,))
         trials = 2000
-        new = np.array(sim.run_eigen_experiment(p, trials, 3, attach_supports=False)
-                       .samples_per_trial)
+        new = np.array(sim.run_eigen_experiment(p, trials, 3))
         direct = np.array([_product_eigs_reference(
             *_noiseless_block(p, sim.trial_rng(1003, t))) for t in range(trials)])
         assert new.shape == direct.shape == (trials, 4)
@@ -236,16 +235,16 @@ class TestSupportOverlays:
         p = _params(noise_enabled=True, num_antennas=50, block_length=80,
                     aoa_counts=(25,))
         with pytest.warns(UserWarning, match="could not attach.*noise enabled"):
-            res = sim.run_eigen_experiment(p, 1, 6)
-        assert res.supports == {}
+            supports = sim.overlays(p, "all")
+        assert supports == {}
 
     def test_unequal_interferer_counts_say_so(self):
         # fig6 layout: the distinct interference law needs one shared count
         p = _params(scenario="distinct_aoas", aoa_counts=(100, 100, 100, 20))
         with pytest.warns(UserWarning,
                           match="could not attach distinct_interference.*unequal"):
-            res = sim.run_eigen_experiment(p, 1, 6)
-        assert set(res.supports) == {"one_sided_signal"}
+            supports = sim.overlays(p, "all")
+        assert set(supports) == {"one_sided_signal"}
 
 
 class TestSaturationExperiment:
@@ -259,8 +258,7 @@ class TestSaturationExperiment:
         from scipy.stats import ks_2samp
         p = _params(num_antennas=100, block_length=300, aoa_counts=(50,))
         phys, iid = sim.run_saturation_experiment(100, 100, p, 40, 0)
-        ks = ks_2samp(np.concatenate(phys.samples_per_trial),
-                      np.concatenate(iid.samples_per_trial)).statistic
+        ks = ks_2samp(np.concatenate(phys), np.concatenate(iid)).statistic
         assert 0.0 <= ks <= 1.0
 
     def test_pools_have_expected_sizes(self, monkeypatch):
@@ -270,8 +268,8 @@ class TestSaturationExperiment:
         monkeypatch.setattr(sim, "run_eigen_experiment",
                             lambda q, *a, **kw: runs.append(q) or run(q, *a, **kw))
         phys, iid = sim.run_saturation_experiment(60, 120, p, 10, 1)
-        assert np.concatenate(phys.samples_per_trial).size == 10 * 20
-        assert np.concatenate(iid.samples_per_trial).size == 10 * 20
+        assert np.concatenate(phys).size == 10 * 20
+        assert np.concatenate(iid).size == 10 * 20
         assert runs[0].num_antennas == 120
         assert runs[1].num_antennas == 60
 
@@ -378,35 +376,6 @@ class TestSaturationShapeBattery:
         assert (bers[1] - bers[2]) < (bers[0] - bers[1])
 
 
-class TestWorkerCount:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("MIMOSPECTRA_WORKERS", raising=False)
-        assert sim._workers() == 1
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_value_is_config_error(self, monkeypatch, raw):
-        monkeypatch.setenv("MIMOSPECTRA_WORKERS", raw)
-        with pytest.raises(ConfigError, match="MIMOSPECTRA_WORKERS"):
-            sim._workers()
-
-    def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setenv("MIMOSPECTRA_WORKERS", "64")
-        assert sim._workers() == 3
-        monkeypatch.setenv("MIMOSPECTRA_WORKERS", "2")
-        assert sim._workers() == 2
-
-
-class TestWorkerScheduleInvariance:
-    def test_thread_pool_reproduces_serial_results(self, monkeypatch):
-        p = _params(num_antennas=64, block_length=128, aoa_counts=(32,))
-        serial = sim.run_eigen_experiment(p, 6, 21, attach_supports=False)
-        monkeypatch.setenv("MIMOSPECTRA_WORKERS", "2")
-        pooled = sim.run_eigen_experiment(p, 6, 21, attach_supports=False)
-        for a, b in zip(serial.samples_per_trial, pooled.samples_per_trial):
-            np.testing.assert_array_equal(a, b)
-
-
 class TestBlasThreads:
     """Trials run with one BLAS thread; the caller's counts come back after."""
 
@@ -426,17 +395,12 @@ class TestBlasThreads:
     def _counts(controls):
         return [get() for get, _ in controls]
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_one_thread_inside_restored_after(self, controls, monkeypatch, workers):
-        monkeypatch.setenv("MIMOSPECTRA_WORKERS", workers)
+    def test_one_thread_inside_restored_after(self, controls):
         seen = sim._map_trials(lambda t: self._counts(controls), 3)
         assert seen == [[1] * len(controls)] * 3
         assert self._counts(controls) == [2] * len(controls)
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_restored_after_a_trial_raises(self, controls, monkeypatch, workers):
-        monkeypatch.setenv("MIMOSPECTRA_WORKERS", workers)
-
+    def test_restored_after_a_trial_raises(self, controls):
         def trial(t):
             if t == 1:
                 raise RuntimeError("trial failed")
