@@ -7,20 +7,20 @@ the remaining K x K ambiguity, then matched-filter QPSK detection on the
 projected data.  The baseline applies the same fit to the raw block, which
 estimates the full antenna-domain channel, and matched-filters in antenna space.
 
-Nothing here loads ``scipy.linalg``: the pilot is the DFT matrix built with
-scipy's own expression, and the top eigenpairs of the Gram come from
+Nothing here loads scipy: the pilot is the DFT matrix built with scipy's
+own expression, and the top eigenpairs of the Gram come from
 ``LAPACKE_zheevr`` (MRRR; Dhillon, Parlett & Vomel, ACM TOMS 2006) of the
-OpenBLAS bundled with scipy, called through ctypes with the arguments
-``scipy.linalg.eigh(subset_by_index=...)`` passes to it, so the results
-are the same to the bit.  Only where no bundled library exports that
-routine does the solve import ``scipy.linalg.eigh``; the bundled libraries
-are found from the packages' import specs, so no other path imports scipy.
+OpenBLAS that numpy already loads, called through ctypes with the arguments
+``scipy.linalg.eigh(subset_by_index=...)`` passes to the same routine, so
+the results are the same to the bit.  Using numpy's build keeps scipy's
+own OpenBLAS, a second copy of the library, out of memory.  Only where
+numpy's build does not export that routine does the solve import
+``scipy.linalg.eigh``.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib.util
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -39,37 +39,31 @@ _LAPACK_COL_MAJOR = 102
 
 
 @cache
-def bundled_openblas() -> tuple:
-    """The OpenBLAS builds bundled with numpy (``numpy.libs``, 64-bit
-    interface) and scipy (``scipy.libs``, LP64), opened with ctypes; empty
-    when neither is found, e.g. for a numpy linked against another BLAS."""
-    libs = []
-    for name in ("numpy", "scipy"):
-        spec = importlib.util.find_spec(name)
-        if spec is None or spec.origin is None:
+def bundled_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS build bundled with numpy (``numpy.libs``, 64-bit
+    interface), opened with ctypes; None when it is not found, e.g. for a
+    numpy linked against another BLAS."""
+    site = Path(np.__file__).resolve().parents[1]
+    for path in sorted(site.glob("numpy.libs/libscipy_openblas*.so")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
             continue
-        site = Path(spec.origin).resolve().parents[1]
-        for path in sorted(site.glob(f"{name}.libs/libscipy_openblas*.so")):
-            try:
-                libs.append(ctypes.CDLL(str(path)))
-            except OSError:
-                continue
-    return tuple(libs)
+    return None
 
 
 @cache
 def _lapacke_zheevr():
-    """``LAPACKE_zheevr`` of the bundled LP64 OpenBLAS, or None."""
-    for lib in bundled_openblas():
-        fn = getattr(lib, "scipy_LAPACKE_zheevr", None)
-        if fn is not None:
-            c = ctypes
-            fn.argtypes = [c.c_int, c.c_char, c.c_char, c.c_char, c.c_int, c.c_void_p,
-                           c.c_int, c.c_double, c.c_double, c.c_int, c.c_int, c.c_double,
-                           c.POINTER(c.c_int), c.c_void_p, c.c_void_p, c.c_int, c.c_void_p]
-            fn.restype = c.c_int
-            return fn
-    return None
+    """``LAPACKE_zheevr`` of numpy's bundled ILP64 OpenBLAS (64-bit integer
+    arguments), or None."""
+    fn = getattr(bundled_openblas(), "scipy_LAPACKE_zheevr64_", None)
+    if fn is not None:
+        c, i64 = ctypes, ctypes.c_int64
+        fn.argtypes = [c.c_int, c.c_char, c.c_char, c.c_char, i64, c.c_void_p,
+                       i64, c.c_double, c.c_double, i64, i64, c.c_double,
+                       c.POINTER(i64), c.c_void_p, c.c_void_p, i64, c.c_void_p]
+        fn.restype = i64
+    return fn
 
 
 def _top_eigenpairs(gram: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +84,8 @@ def _top_eigenpairs(gram: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.array(gram, dtype=np.complex128, order="F")
     w = np.empty(r)
     v = np.empty((r, r - lo), dtype=np.complex128, order="F")
-    isuppz = np.empty(2 * (r - lo), dtype=np.int32)
-    found = ctypes.c_int()
+    isuppz = np.empty(2 * (r - lo), dtype=np.int64)
+    found = ctypes.c_int64()
     info = zheevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", r, a.ctypes.data, r, 0.0, 0.0,
                   lo + 1, r, 0.0, ctypes.byref(found), w.ctypes.data, v.ctypes.data, r,
                   isuppz.ctypes.data)

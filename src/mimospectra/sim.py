@@ -6,16 +6,25 @@ N*p_interference), while the analytic laws describe the Y^H Y / (M N)
 normalization; attached supports are therefore scaled by N before overlay.
 
 Trials are independent work units seeded as (seed, trial_index) streams, so
-trial order never changes a result; they run in order, one after another.
-Trials run with one BLAS thread: their matrices are small enough that BLAS
-threading costs more than it saves, and a fixed thread count makes the
-floating-point results independent of OPENBLAS_NUM_THREADS.
+trial order never changes a result.  Trials that draw a full received block
+(``draw_block``: every BER block, and the noisy or wide eigen trials) run on
+every CPU this process may use, one Python thread per CPU, each result kept
+in its trial's slot; their BLAS calls and ctypes eigensolves release the
+interpreter lock.  The noiseless Bartlett eigen trials run in order, one
+after another: they are products of C x C matrices, small enough that the
+interpreter lock, held between numpy calls, serializes threads and makes
+them slower.  All trials run with one BLAS thread: their matrices are small
+enough that BLAS threading costs more than it saves, and a fixed thread
+count makes the floating-point results independent of OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
+import os
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -45,40 +54,74 @@ def trial_rng(seed, trial_index) -> np.random.Generator:
 
 
 @functools.cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of the bundled OpenBLAS builds
-    (numpy's with the ``64_`` suffix, scipy's without); empty when none is
-    found."""
-    controls = []
-    for lib in bundled_openblas():
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
+def _blas_thread_controls() -> tuple | None:
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None
+    when it is not found."""
+    lib = bundled_openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body with one BLAS thread, then restore the previous counts."""
+    """Run the body with one BLAS thread, then restore the previous count.
+
+    The count is global to the library, so it holds in every thread."""
     controls = _blas_thread_controls()
-    saved = [get() for get, _ in controls]
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    saved = get()
     try:
-        for _, set_ in controls:
-            set_(1)
+        set_(1)
         yield
     finally:
-        for (_, set_), n in zip(controls, saved):
-            set_(n)
+        set_(saved)
 
 
-def _map_trials(fn, n_trials: int):
+def _map_trials(fn, n_trials: int, parallel: bool = True) -> list:
+    """``[fn(t) for t in range(n_trials)]``, with one BLAS thread.
+
+    In parallel, the calling thread and one helper thread per further usable
+    CPU (at most one thread per trial) take trial indices from one shared
+    counter.  A failed trial stops the taking of new ones; every trial below
+    it was taken already and finishes, so once all helpers are joined the
+    error raised is that of the lowest-numbered failed trial, as in order.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, n_trials) if parallel else 1
+    results = [None] * n_trials
+    failed: dict[int, BaseException] = {}
+    indices = itertools.count()
+
+    def work():
+        for t in indices:  # the C-level count hands out each index once
+            if t >= n_trials or failed:
+                return
+            try:
+                results[t] = fn(t)
+            except BaseException as exc:  # re-raised below, after the join
+                failed[t] = exc
+
     with _one_blas_thread():
-        return [fn(t) for t in range(n_trials)]
+        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def worst_case_power_diagonal(num_users: int, num_cells: int,
@@ -233,9 +276,11 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
     amp = np.sqrt(worst_case_power_diagonal(k, l, params.signal_power,
                                             params.interference_power)[cols])
 
+    full_block = params.noise_enabled or c > min(m, n)
+
     def one_trial(t: int) -> np.ndarray:
         rng = trial_rng(seed, t)
-        if params.noise_enabled or c > min(m, n):
+        if full_block:
             y, _ = draw_block(params, rng, lambda g: crandn(g, k * l, n), cols)
             lam = np.sort(np.linalg.svd(y, compute_uv=False) ** 2 / m)
         else:
@@ -243,7 +288,7 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
             lam = _product_eigs(channel, cols, amp[:, None] * bartlett_factor(rng, c, n))
         return lam[lam > NONZERO_EIG_RTOL * lam.max(initial=0.0)]
 
-    return _map_trials(one_trial, trials)
+    return _map_trials(one_trial, trials, parallel=full_block)
 
 
 def run_saturation_experiment(num_aoas: int, m_physical: int, params: SystemParams,

@@ -250,6 +250,9 @@ class TestRealizeChannel:
         ch = realize_channel(p, 5)
         assert ch.steering[3].shape == (100, 20)
         assert not np.array_equal(ch.steering[0], ch.steering[1])
+        k = ch.params.users_per_cell
+        for cell, (s, f) in enumerate(zip(ch.steering, ch.fading)):
+            np.testing.assert_array_equal(ch.composite[:, cell * k:(cell + 1) * k], s @ f)
 
     @pytest.mark.parametrize("scenario,counts", [
         ("identical_aoas", (50,)), ("distinct_aoas", (20, 20, 25, 25)),

@@ -671,33 +671,42 @@ _THREAD_CONFIGS = {
 }
 
 
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 @pytest.mark.parametrize("kind", sorted(_THREAD_CONFIGS))
 def test_payload_bytes_invariant_to_thread_settings(kind, tmp_path):
     """The README promise: identical config and seed give identical bytes,
-    whatever OPENBLAS_NUM_THREADS says."""
+    whatever OPENBLAS_NUM_THREADS says and however many CPUs the trials
+    run on (the one-CPU run needs ``os.sched_setaffinity``)."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(_THREAD_CONFIGS[kind], label="t")))
     src = str(Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    runs = [("blas1", {"OPENBLAS_NUM_THREADS": "1"}, None),
+            ("blas2", {"OPENBLAS_NUM_THREADS": "2"}, None)]
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(("cpu1", {}, _pin_to_one_cpu))
     outputs = {}
-    for name, extra in (("blas1", {"OPENBLAS_NUM_THREADS": "1"}),
-                        ("blas2", {"OPENBLAS_NUM_THREADS": "2"})):
+    for name, extra, preexec in runs:
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "mimospectra.cli", "run", "--config", str(config),
              "--seed", "1234", "--out", str(out)],
-            env={**base, **extra}, capture_output=True, text=True, timeout=300)
+            env={**base, **extra}, capture_output=True, text=True, timeout=300,
+            preexec_fn=preexec)
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((out / "t_result.json").read_text())["payload"]
         outputs[name] = [json.dumps(payload, sort_keys=True).encode()] + [
             path.read_bytes() for path in sorted(out.glob("*.csv"))]
-    assert outputs["blas1"] == outputs["blas2"]
+    assert all(output == outputs["blas1"] for output in outputs.values())
 
 
-# modules that no run uses: scipy's (the bundled OpenBLAS is found from its
-# import spec), numpy's (numpy.ma is imported by np.unique) and the thread pool's
+# modules that no run uses: scipy's (the solver uses numpy's bundled
+# OpenBLAS), numpy's (numpy.ma is imported by np.unique) and the thread pool's
 UNUSED_MODULES = ("scipy", "scipy.linalg", "numpy.ma", "numpy.polynomial",
                   "concurrent.futures")
 
@@ -706,7 +715,8 @@ def test_import_leaves_scipy_linalg_unloaded(tmp_path):
     """Start-up and memory cost: none of UNUSED_MODULES is loaded by the CLI
     and the laws on import, by a support_plot run (support scans) or by a
     whole BER run, which solves its eigenpairs with the LAPACKE_zheevr of
-    scipy's bundled OpenBLAS and builds its DFT pilot in numpy."""
+    numpy's bundled OpenBLAS and builds its DFT pilot in numpy; on Linux,
+    scipy's own OpenBLAS (in ``scipy.libs``) is not mapped either."""
     configs = []
     for kind in ("support_plot", "ber"):
         configs.append(tmp_path / f"{kind}.json")
@@ -719,12 +729,18 @@ def test_import_leaves_scipy_linalg_unloaded(tmp_path):
             "print('loaded', 0, [m for m in unused if m in sys.modules])\n"
             "for config in sys.argv[1:]:\n"
             "    rc = mimospectra.cli.main(['run', '--config', config, '--out', config + '.out'])\n"
-            "    print('loaded', rc, [m for m in unused if m in sys.modules])")
+            "    print('loaded', rc, [m for m in unused if m in sys.modules])\n"
+            "if sys.platform.startswith('linux'):\n"
+            "    with open('/proc/self/maps') as maps:\n"
+            "        print('mapped', [line for line in maps if 'scipy.libs' in line])")
     proc = subprocess.run([sys.executable, "-c", code, *map(str, configs)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.startswith("loaded")]
     assert lines == ["loaded 0 []"] * 3
+    if sys.platform.startswith("linux"):
+        assert [line for line in proc.stdout.splitlines()
+                if line.startswith("mapped")] == ["mapped []"]
     for kind in ("support_plot", "ber"):
         assert (tmp_path / f"{kind}.json.out" / f"{kind}_result.json").exists()
 

@@ -183,7 +183,7 @@ class TestHermitianSolver:
     def test_fallback_gives_same_subspace(self, m, n, k, fresh_lookup, monkeypatch):
         y = _ber_block(1, "iid", m, n, k)
         bundled = signal_subspace(y, k)
-        monkeypatch.setattr(estimation, "bundled_openblas", lambda: ())
+        monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
         estimation._lapacke_zheevr.cache_clear()
         assert estimation._lapacke_zheevr() is None
         assert signal_subspace(y, k).tobytes() == bundled.tobytes()

@@ -1,5 +1,8 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -376,36 +379,83 @@ class TestSaturationShapeBattery:
         assert (bers[1] - bers[2]) < (bers[0] - bers[1])
 
 
+def _cpus(monkeypatch, n):
+    """Let the trial map see n usable CPUs."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestBlasThreads:
-    """Trials run with one BLAS thread; the caller's counts come back after."""
+    """Trials run with one BLAS thread, in every thread of the map; the
+    caller's count comes back after."""
 
     @pytest.fixture
     def controls(self):
         controls = sim._blas_thread_controls()
-        if not controls:
-            pytest.skip("no bundled OpenBLAS found")
-        before = [get() for get, _ in controls]
-        for _, set_ in controls:
-            set_(2)
-        yield controls
-        for (_, set_), n in zip(controls, before):
-            set_(n)
-
-    @staticmethod
-    def _counts(controls):
-        return [get() for get, _ in controls]
+        if controls is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, set_ = controls
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
 
     def test_one_thread_inside_restored_after(self, controls):
-        seen = sim._map_trials(lambda t: self._counts(controls), 3)
-        assert seen == [[1] * len(controls)] * 3
-        assert self._counts(controls) == [2] * len(controls)
+        seen = sim._map_trials(lambda t: controls(), 3)
+        assert seen == [1] * 3
+        assert controls() == 2
 
-    def test_restored_after_a_trial_raises(self, controls):
+    def test_one_thread_in_helpers(self, controls, monkeypatch):
+        # every trial waits for the other two, so each runs on its own thread
+        _cpus(monkeypatch, 4)
+        barrier = threading.Barrier(3)
+
+        def trial(t):
+            barrier.wait(timeout=30)
+            return threading.get_ident(), controls()
+
+        seen = sim._map_trials(trial, 3)
+        assert len({ident for ident, _ in seen}) == 3
+        assert [count for _, count in seen] == [1] * 3
+        assert controls() == 2
+
+    def test_restored_after_a_trial_raises(self, controls, monkeypatch):
+        # the lowest-numbered failure is raised once every helper is joined
+        _cpus(monkeypatch, 4)
+        threads_before = threading.active_count()
+
         def trial(t):
             if t == 1:
-                raise RuntimeError("trial failed")
+                time.sleep(0.05)  # let trial 3 fail first
+            if t in (1, 3):
+                raise RuntimeError(f"trial {t} failed")
             return t
 
-        with pytest.raises(RuntimeError, match="trial failed"):
-            sim._map_trials(trial, 3)
-        assert self._counts(controls) == [2] * len(controls)
+        with pytest.raises(RuntimeError, match="^trial 1 failed$"):
+            sim._map_trials(trial, 6)
+        assert controls() == 2
+        assert threading.active_count() == threads_before
+
+
+class TestParallelTrials:
+    """Trials that draw a full block give, on any number of CPUs, exactly the
+    results of one CPU."""
+
+    def test_ber_matches_one_cpu(self, monkeypatch):
+        p = _params(noise_enabled=True, signal_power=0.3, num_antennas=48,
+                    block_length=60, aoa_counts=(24,))
+        runs = []
+        for cpus in (1, 4):
+            _cpus(monkeypatch, cpus)
+            runs.append(sim.run_ber_experiment(p, [-6.0, 0.0], bits_target=3000, seed=5))
+        assert runs[0] == runs[1]
+        assert all(len(pts) == 2 for pts in runs[0].values())
+
+    def test_noisy_eigen_matches_one_cpu(self, monkeypatch):
+        p = _params(noise_enabled=True, num_antennas=50, block_length=80, aoa_counts=(25,))
+        runs = []
+        for cpus in (1, 4):
+            _cpus(monkeypatch, cpus)
+            runs.append(sim.run_eigen_experiment(p, trials=6, seed=3))
+        assert len(runs[1]) == 6
+        for one, many in zip(*runs):
+            np.testing.assert_array_equal(one, many)
