@@ -20,6 +20,7 @@ count makes the floating-point results independent of OPENBLAS_NUM_THREADS.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import itertools
@@ -111,7 +112,10 @@ def _map_trials(fn, n_trials: int, parallel: bool = True) -> list:
                 failed[t] = exc
 
     with _one_blas_thread():
-        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+        # each helper runs in a copy of the caller's context, so it keeps
+        # the caller's context-local state, such as numpy's np.errstate
+        helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+                   for _ in range(workers - 1)]
         for helper in helpers:
             helper.start()
         try:

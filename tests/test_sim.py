@@ -1,5 +1,6 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
+import sys
 import threading
 import time
 
@@ -438,7 +439,8 @@ class TestBlasThreads:
 
 class TestParallelTrials:
     """Trials that draw a full block give, on any number of CPUs, exactly the
-    results of one CPU."""
+    results of one CPU; helper threads run under the caller's numpy error
+    state."""
 
     def test_ber_matches_one_cpu(self, monkeypatch):
         p = _params(noise_enabled=True, signal_power=0.3, num_antennas=48,
@@ -459,3 +461,29 @@ class TestParallelTrials:
         assert len(runs[1]) == 6
         for one, many in zip(*runs):
             np.testing.assert_array_equal(one, many)
+
+    def test_helpers_keep_callers_errstate(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        barrier = threading.Barrier(3)
+
+        def trial(t):
+            barrier.wait(timeout=30)
+            with pytest.raises(FloatingPointError):
+                np.float64(1.0) / np.float64(0.0)
+            return threading.get_ident()
+
+        with np.errstate(divide="raise"):
+            assert len(set(sim._map_trials(trial, 3))) == 3
+
+    def test_each_trial_runs_once_under_contention(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter allows
+        _cpus(monkeypatch, 8)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = sim._map_trials(lambda t: calls.append(t) or t * t, 400)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [t * t for t in range(400)]
+        assert sorted(calls) == list(range(400))
