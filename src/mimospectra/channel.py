@@ -126,13 +126,14 @@ class ChannelRealization:
     def composite(self) -> np.ndarray:
         if self.iid_composite is not None:
             return self.iid_composite
-        # a distinct cell's steering matrix is built for its product and
-        # dropped before the next, so at most one M x P_i set is held
         m, d = self.params.num_antennas, self.params.spacing_ratio
-        shared = build_steering_matrix(self.aoas[0], m, d) if len(self.aoas) == 1 else None
-        return np.concatenate([
-            (shared if shared is not None else build_steering_matrix(self.aoas[cell], m, d)) @ h
-            for cell, h in enumerate(self.fading)], axis=1)
+        if len(self.aoas) == 1:
+            shared = build_steering_matrix(self.aoas[0], m, d)
+            return np.concatenate([shared @ h for h in self.fading], axis=1)
+        # each cell's steering matrix is built for its product and dropped
+        # before the next, so at most one M x P_i set is held at a time
+        return np.concatenate([build_steering_matrix(self.aoas[cell % len(self.aoas)], m, d) @ h
+                               for cell, h in enumerate(self.fading)], axis=1)
 
     def gram(self, cols: slice = slice(None)) -> np.ndarray:
         """H^H H for the kept columns of the composite.
