@@ -6,16 +6,16 @@ N*p_interference), while the analytic laws describe the Y^H Y / (M N)
 normalization; attached supports are therefore scaled by N before overlay.
 
 Trials are independent work units seeded as (seed, trial_index) streams, so
-trial order never changes a result.  Trials that draw a full received block
-(``draw_block``: every BER block, and the noisy or wide eigen trials) run on
-every CPU this process may use, one Python thread per CPU, each result kept
-in its trial's slot; their BLAS calls and ctypes eigensolves release the
-interpreter lock.  The noiseless Bartlett eigen trials run in order, one
-after another: they are products of C x C matrices, small enough that the
-interpreter lock, held between numpy calls, serializes threads and makes
-them slower.  All trials run with one BLAS thread: their matrices are small
-enough that BLAS threading costs more than it saves, and a fixed thread
-count makes the floating-point results independent of OPENBLAS_NUM_THREADS.
+trial order never changes a result.  BER blocks run on every CPU this
+process may use, one Python thread per CPU, each result kept in its block's
+slot; their BLAS calls and ctypes eigensolves release the interpreter lock.
+Eigen trials run in order, one after another: the noiseless Bartlett trials
+are products of C x C matrices, small enough that the interpreter lock, held
+between numpy calls, serializes threads and makes them slower, and no
+benchmark workload runs the noisy or wide ones.  All trials run with one
+BLAS thread: their matrices are small enough that BLAS threading costs more
+than it saves, and a fixed thread count makes the floating-point results
+independent of OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -86,6 +86,14 @@ def _one_blas_thread():
         set_(saved)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or every CPU on a
+    platform without one.  CPU quotas are not read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_trials(fn, n_trials: int, parallel: bool = True) -> list:
     """``[fn(t) for t in range(n_trials)]``, with one BLAS thread.
 
@@ -94,10 +102,10 @@ def _map_trials(fn, n_trials: int, parallel: bool = True) -> list:
     counter.  A failed trial stops the taking of new ones; every trial below
     it was taken already and finishes, so once all helpers are joined the
     error raised is that of the lowest-numbered failed trial, as in order.
+    If a helper cannot start, the ones started take no further trials and
+    are joined before that error leaves.
     """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(cpus, n_trials) if parallel else 1
+    workers = min(_usable_cpus(), n_trials) if parallel else 1
     results = [None] * n_trials
     failed: dict[int, BaseException] = {}
     indices = itertools.count()
@@ -112,14 +120,19 @@ def _map_trials(fn, n_trials: int, parallel: bool = True) -> list:
                 failed[t] = exc
 
     with _one_blas_thread():
-        # each helper runs in a copy of the caller's context, so it keeps
-        # the caller's context-local state, such as numpy's np.errstate
-        helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-                   for _ in range(workers - 1)]
-        for helper in helpers:
-            helper.start()
+        helpers = []
         try:
+            for _ in range(workers - 1):
+                # each helper runs in a copy of the caller's context, so it keeps
+                # the caller's context-local state, such as numpy's np.errstate
+                helper = threading.Thread(target=contextvars.copy_context().run,
+                                          args=(work,))
+                helper.start()
+                helpers.append(helper)
             work()
+        except BaseException as exc:
+            failed.setdefault(-1, exc)  # the running helpers take no more trials
+            raise
         finally:
             for helper in helpers:
                 helper.join()
@@ -280,11 +293,9 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
     amp = np.sqrt(worst_case_power_diagonal(k, l, params.signal_power,
                                             params.interference_power)[cols])
 
-    full_block = params.noise_enabled or c > min(m, n)
-
     def one_trial(t: int) -> np.ndarray:
         rng = trial_rng(seed, t)
-        if full_block:
+        if params.noise_enabled or c > min(m, n):
             y, _ = draw_block(params, rng, lambda g: crandn(g, k * l, n), cols)
             lam = np.sort(np.linalg.svd(y, compute_uv=False) ** 2 / m)
         else:
@@ -292,7 +303,7 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
             lam = _product_eigs(channel, cols, amp[:, None] * bartlett_factor(rng, c, n))
         return lam[lam > NONZERO_EIG_RTOL * lam.max(initial=0.0)]
 
-    return _map_trials(one_trial, trials, parallel=full_block)
+    return _map_trials(one_trial, trials, parallel=False)
 
 
 def run_saturation_experiment(num_aoas: int, m_physical: int, params: SystemParams,

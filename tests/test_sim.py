@@ -1,5 +1,6 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
+import os
 import sys
 import threading
 import time
@@ -382,7 +383,21 @@ class TestSaturationShapeBattery:
 
 def _cpus(monkeypatch, n):
     """Let the trial map see n usable CPUs."""
-    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: n)
+
+
+class TestUsableCpus:
+    def test_affinity_set(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity call on this platform")
+        assert sim._usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_every_cpu_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 6)
+        assert sim._usable_cpus() == 6
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        assert sim._usable_cpus() == 1
 
 
 class TestBlasThreads:
@@ -436,11 +451,41 @@ class TestBlasThreads:
         assert controls() == 2
         assert threading.active_count() == threads_before
 
+    def test_helper_that_cannot_start(self, controls, monkeypatch):
+        # the first helper runs; the second cannot start, so the first takes
+        # no further trials and is joined before the start error leaves
+        _cpus(monkeypatch, 4)
+        threads_before = threading.active_count()
+        start = threading.Thread.start
+        starts = []
+        ran = []
+
+        def failing_start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        def trial(t):
+            ran.append((t, controls()))
+            time.sleep(0.02)
+
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            sim._map_trials(trial, 100)
+        assert threading.active_count() == threads_before
+        assert controls() == 2
+        taken = len(ran)
+        assert 1 <= taken < 100
+        assert {count for _, count in ran} == {1}
+        time.sleep(0.05)
+        assert len(ran) == taken
+
 
 class TestParallelTrials:
-    """Trials that draw a full block give, on any number of CPUs, exactly the
-    results of one CPU; helper threads run under the caller's numpy error
-    state."""
+    """BER blocks give, on any number of CPUs, exactly the results of one CPU;
+    eigen trials run on the calling thread; helper threads run under the
+    caller's numpy error state."""
 
     def test_ber_matches_one_cpu(self, monkeypatch):
         p = _params(noise_enabled=True, signal_power=0.3, num_antennas=48,
@@ -452,15 +497,16 @@ class TestParallelTrials:
         assert runs[0] == runs[1]
         assert all(len(pts) == 2 for pts in runs[0].values())
 
-    def test_noisy_eigen_matches_one_cpu(self, monkeypatch):
-        p = _params(noise_enabled=True, num_antennas=50, block_length=80, aoa_counts=(25,))
-        runs = []
-        for cpus in (1, 4):
-            _cpus(monkeypatch, cpus)
-            runs.append(sim.run_eigen_experiment(p, trials=6, seed=3))
-        assert len(runs[1]) == 6
-        for one, many in zip(*runs):
-            np.testing.assert_array_equal(one, many)
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_eigen_trials_stay_on_calling_thread(self, monkeypatch, noise):
+        _cpus(monkeypatch, 4)
+        threads = []
+        rng = sim.trial_rng
+        monkeypatch.setattr(sim, "trial_rng",
+                            lambda *key: threads.append(threading.get_ident()) or rng(*key))
+        p = _params(noise_enabled=noise, num_antennas=50, block_length=80, aoa_counts=(25,))
+        assert len(sim.run_eigen_experiment(p, trials=6, seed=3)) == 6
+        assert threads == [threading.get_ident()] * 6
 
     def test_helpers_keep_callers_errstate(self, monkeypatch):
         _cpus(monkeypatch, 4)
