@@ -106,21 +106,16 @@ class ChannelRealization:
     """AoA sets and per-cell fading factors of one realization.
 
     Each distinct AoA set is kept once: one shared set, or one per cell; cell
-    c uses set ``c % len(aoas)``.  ``steering`` (per set, M x P_i) and
-    ``composite`` (M x K*L, columns grouped by cell, kept once built) are
-    built from them on demand; for the iid scenario the factors are absent
-    and ``iid_composite`` holds the composite.
+    c uses set ``c % len(aoas)``.  ``composite`` (M x K*L, columns grouped
+    by cell, kept once built) is built from them on demand, each set's
+    M x P_i steering matrix only for its product; for the iid scenario the
+    factors are absent and ``iid_composite`` holds the composite.
     """
 
     params: SystemParams
     aoas: list[np.ndarray] = field(default_factory=list)
     fading: list[np.ndarray] = field(default_factory=list)
     iid_composite: np.ndarray | None = None
-
-    @property
-    def steering(self) -> list[np.ndarray]:
-        m, d = self.params.num_antennas, self.params.spacing_ratio
-        return [build_steering_matrix(a, m, d) for a in self.aoas]
 
     @cached_property
     def composite(self) -> np.ndarray:

@@ -151,20 +151,16 @@ PRESETS = _preset_table()
 
 
 def _desk_scale(cfg: dict) -> dict:
+    """The preset with each key of the floors table halved (each element of a
+    list), but not below its floor."""
+    k = cfg.get("users_per_cell", 1)  # an AoA count keeps one AoA per user of a cell
+    floors = dict(num_antennas=1, m_physical=1, m_values=1, aoa_counts=k, num_aoas=k,
+                  p_values=k, p4_values=k, trials=2, bits_target=10_000)
     out = dict(cfg)
-    out["num_antennas"] = max(1, out["num_antennas"] // 2)
-    if out.get("aoa_counts"):
-        out["aoa_counts"] = [max(out.get("users_per_cell", 1), p // 2)
-                             for p in out["aoa_counts"]]
-    if "m_physical" in out:
-        out["m_physical"] = max(1, out["m_physical"] // 2)
-        out["num_aoas"] = max(1, out["num_aoas"] // 2)
-    if "m_values" in out:
-        out["m_values"] = [max(1, m // 2) for m in out["m_values"]]
-    if "trials" in out:
-        out["trials"] = max(2, out["trials"] // 2)
-    if "bits_target" in out:
-        out["bits_target"] = max(10_000, out["bits_target"] // 2)
+    for key in floors.keys() & cfg.keys():
+        val, floor = cfg[key], floors[key]
+        out[key] = ([max(floor, v // 2) for v in val] if isinstance(val, list)
+                    else max(floor, val // 2))
     return out
 
 

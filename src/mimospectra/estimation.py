@@ -15,13 +15,15 @@ OpenBLAS that numpy already loads, called through ctypes with the arguments
 the results are the same to the bit.  Using numpy's build keeps scipy's
 own OpenBLAS, a second copy of the library, out of memory.  Only where
 numpy's build does not export that routine does the solve import
-``scipy.linalg.eigh``.
+``scipy.linalg.eigh``.  Only this module binds that library, each symbol
+through ``_openblas_function``: the eigensolve and ``one_blas_thread``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -53,17 +55,42 @@ def bundled_openblas() -> ctypes.CDLL | None:
 
 
 @cache
+def _openblas_function(name: str, restype, *argtypes):
+    """Symbol ``name`` of ``bundled_openblas()`` with its ctypes signature
+    set, or None when the library or the symbol is missing."""
+    fn = getattr(bundled_openblas(), name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
 def _lapacke_zheevr():
     """``LAPACKE_zheevr`` of numpy's bundled ILP64 OpenBLAS (64-bit integer
     arguments), or None."""
-    fn = getattr(bundled_openblas(), "scipy_LAPACKE_zheevr64_", None)
-    if fn is not None:
-        c, i64 = ctypes, ctypes.c_int64
-        fn.argtypes = [c.c_int, c.c_char, c.c_char, c.c_char, i64, c.c_void_p,
-                       i64, c.c_double, c.c_double, i64, i64, c.c_double,
-                       c.POINTER(i64), c.c_void_p, c.c_void_p, i64, c.c_void_p]
-        fn.restype = i64
-    return fn
+    c, i64 = ctypes, ctypes.c_int64
+    return _openblas_function("scipy_LAPACKE_zheevr64_", i64, c.c_int, c.c_char,
+                              c.c_char, c.c_char, i64, c.c_void_p, i64, c.c_double,
+                              c.c_double, i64, i64, c.c_double, c.POINTER(i64),
+                              c.c_void_p, c.c_void_p, i64, c.c_void_p)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with one thread in numpy's bundled OpenBLAS, then restore
+    the previous count; without that library, run it as it is.
+
+    The count is global to the library, so it holds in every thread."""
+    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    if get is None or set_ is None:
+        yield
+        return
+    saved = get()
+    try:
+        set_(1)
+        yield
+    finally:
+        set_(saved)
 
 
 def _top_eigenpairs(gram: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,26 +8,24 @@ normalization; attached supports are therefore scaled by N before overlay.
 Trials are independent work units seeded as (seed, trial_index) streams, so
 trial order never changes a result.  BER blocks run on every CPU this
 process may use, one Python thread per CPU, each result kept in its block's
-slot; their BLAS calls and ctypes eigensolves release the interpreter lock.
+slot; their BLAS calls and eigensolves release the interpreter lock.
 Eigen trials run in order, one after another: the noiseless Bartlett trials
 are products of C x C matrices, small enough that the interpreter lock, held
 between numpy calls, serializes threads and makes them slower, and no
 benchmark workload runs the noisy or wide ones.  All trials run with one
-BLAS thread: their matrices are small enough that BLAS threading costs more
-than it saves, and a fixed thread count makes the floating-point results
-independent of OPENBLAS_NUM_THREADS.
+BLAS thread (``estimation.one_blas_thread``, which owns the binding to
+numpy's OpenBLAS): their matrices are small enough that BLAS threading costs
+more than it saves, and a fixed thread count makes the floating-point
+results independent of OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import contextvars
-import ctypes
-import functools
 import itertools
 import os
 import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,10 +35,10 @@ from .channel import ChannelRealization, SystemParams, crandn, realize_channel
 from .errors import ConfigError
 from .estimation import (
     PilotLayout,
-    bundled_openblas,
     count_bit_errors,
     estimate_subspace_channel,
     mf_detect,
+    one_blas_thread,
     pilot_based_detect,
 )
 
@@ -52,38 +50,6 @@ def trial_rng(seed, trial_index) -> np.random.Generator:
     """Independent, schedule-invariant stream for one trial."""
     key = trial_index if isinstance(trial_index, tuple) else (trial_index,)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-@functools.cache
-def _blas_thread_controls() -> tuple | None:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None
-    when it is not found."""
-    lib = bundled_openblas()
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if get is None or set_ is None:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with one BLAS thread, then restore the previous count.
-
-    The count is global to the library, so it holds in every thread."""
-    controls = _blas_thread_controls()
-    if controls is None:
-        yield
-        return
-    get, set_ = controls
-    saved = get()
-    try:
-        set_(1)
-        yield
-    finally:
-        set_(saved)
 
 
 def _usable_cpus() -> int:
@@ -119,7 +85,7 @@ def _map_trials(fn, n_trials: int, parallel: bool = True) -> list:
             except BaseException as exc:  # re-raised below, after the join
                 failed[t] = exc
 
-    with _one_blas_thread():
+    with one_blas_thread():
         helpers = []
         try:
             for _ in range(workers - 1):

@@ -20,6 +20,12 @@ from mimospectra.errors import ConfigError
 from mimospectra.sim import draw_block
 
 
+def _steering(ch):
+    """Each AoA set's M x P_i steering matrix, as the composite builds it."""
+    return [build_steering_matrix(a, ch.params.num_antennas, ch.params.spacing_ratio)
+            for a in ch.aoas]
+
+
 def _params(**kw):
     base = dict(num_antennas=100, users_per_cell=5, num_cells=4, block_length=400,
                 aoa_counts=(50,), signal_power=0.1, interference_power=0.025,
@@ -222,7 +228,7 @@ class TestRealizeChannel:
                     block_length=16, aoa_counts=())
         ch = realize_channel(p, 0)
         assert ch.composite.shape == (4, 4)
-        assert ch.steering == [] and ch.fading == []
+        assert _steering(ch) == [] and ch.fading == []
 
     def test_column_energy_unit_mean(self):
         # E ||h_k||^2 / M = 1 follows from the 1/sqrt(P) steering scaling
@@ -238,20 +244,22 @@ class TestRealizeChannel:
     def test_identical_shares_steering(self):
         # the shared AoA set is kept once and steers every cell's columns
         ch = realize_channel(_params(), 5)
-        assert len(ch.aoas) == len(ch.steering) == 1
+        steering = _steering(ch)
+        assert len(ch.aoas) == len(steering) == 1
         k = ch.params.users_per_cell
         for cell, f in enumerate(ch.fading):
             np.testing.assert_array_equal(ch.composite[:, cell * k:(cell + 1) * k],
-                                          ch.steering[0] @ f)
+                                          steering[0] @ f)
 
     def test_distinct_draws_independent_sets(self):
         with pytest.warns(UserWarning, match="K << P"):
             p = _params(scenario="distinct_aoas", aoa_counts=(50, 50, 50, 20))
         ch = realize_channel(p, 5)
-        assert ch.steering[3].shape == (100, 20)
-        assert not np.array_equal(ch.steering[0], ch.steering[1])
+        steering = _steering(ch)
+        assert steering[3].shape == (100, 20)
+        assert not np.array_equal(steering[0], steering[1])
         k = ch.params.users_per_cell
-        for cell, (s, f) in enumerate(zip(ch.steering, ch.fading)):
+        for cell, (s, f) in enumerate(zip(steering, ch.fading)):
             np.testing.assert_array_equal(ch.composite[:, cell * k:(cell + 1) * k], s @ f)
 
     @pytest.mark.parametrize("scenario,counts", [

@@ -233,6 +233,24 @@ class TestMainEntry:
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_desk_halves_antenna_and_aoa_counts(preset):
+    """Desk scale halves every antenna and AoA count of a preset (each
+    element of a sweep), an AoA count down to one AoA per user of a cell;
+    it once left the fig8 and intro-ratio AoA sweeps at paper size."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fig6 and fig8 warn that K << P fails
+        paper = cli.load_config(preset, None, "paper", {})
+        desk = cli.load_config(preset, None, "desk", {})
+    k = paper["users_per_cell"]
+    floors = dict(num_antennas=1, m_physical=1, m_values=1, aoa_counts=k, num_aoas=k,
+                  p_values=k, p4_values=k)
+    for key, floor in floors.items():
+        if key in paper:
+            half = [max(floor, v // 2) for v in np.atleast_1d(paper[key])]
+            assert list(np.atleast_1d(desk[key])) == half, key
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
 @pytest.mark.parametrize("preset,override", [("fig1", 'modes=["bogus"]'),
                                              ("fig3", 'terms="bogus"')])

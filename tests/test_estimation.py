@@ -1,5 +1,10 @@
 """Subspace pipeline, pilot baseline, and QPSK plumbing."""
 
+import ast
+import ctypes
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -148,9 +153,9 @@ def _ber_block(seed, scenario, m, n, k, aoa_counts=()):
 @pytest.fixture
 def fresh_lookup():
     """Clear the cached solver lookup around a test that patches it."""
-    estimation._lapacke_zheevr.cache_clear()
+    estimation._openblas_function.cache_clear()
     yield
-    estimation._lapacke_zheevr.cache_clear()
+    estimation._openblas_function.cache_clear()
 
 
 class TestHermitianSolver:
@@ -184,7 +189,7 @@ class TestHermitianSolver:
         y = _ber_block(1, "iid", m, n, k)
         bundled = signal_subspace(y, k)
         monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
-        estimation._lapacke_zheevr.cache_clear()
+        estimation._openblas_function.cache_clear()
         assert estimation._lapacke_zheevr() is None
         assert signal_subspace(y, k).tobytes() == bundled.tobytes()
 
@@ -214,6 +219,48 @@ class TestHermitianSolver:
             assert pilot.dtype == want.dtype and pilot.shape == want.shape
             assert pilot.tobytes() == want.tobytes()
             assert not pilot.flags.writeable
+
+
+class TestOpenblasBinding:
+    """``estimation`` is the one module that binds numpy's bundled OpenBLAS;
+    without that library the thread cap and the solve fall back."""
+
+    def test_no_bundled_openblas(self, fresh_lookup, monkeypatch):
+        y = _ber_block(1, "iid", 200, 60, 15)
+        bundled = signal_subspace(y, 15)
+        monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
+        estimation._openblas_function.cache_clear()
+        assert estimation._openblas_function("scipy_openblas_get_num_threads64_",
+                                             ctypes.c_int) is None
+        ran = []
+        with estimation.one_blas_thread():
+            ran.append(True)
+        assert ran == [True]
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+        assert sim._map_trials(lambda t: t * t, 10) == [t * t for t in range(10)]
+        assert estimation._lapacke_zheevr() is None
+        assert signal_subspace(y, 15).tobytes() == bundled.tobytes()
+
+    def test_only_estimation_binds_openblas(self):
+        # no other module imports ctypes or names an OpenBLAS or LAPACKE symbol
+        package = Path(estimation.__file__).parent
+        owner = package / "estimation.py"
+        assert "ctypes" in _imported_modules(owner)
+        for path in sorted(package.rglob("*.py")):
+            if path != owner:
+                assert "ctypes" not in _imported_modules(path), path
+                assert not re.search(r"scipy_openblas|LAPACKE", path.read_text()), path
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules that the source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
 
 
 class TestZfResolve:

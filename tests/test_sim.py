@@ -1,5 +1,6 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
+import ctypes
 import os
 import sys
 import threading
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mimospectra import rmt, sim
+from mimospectra import estimation, rmt, sim
 from mimospectra.channel import SystemParams
 from mimospectra.errors import ConfigError
 
@@ -406,10 +407,12 @@ class TestBlasThreads:
 
     @pytest.fixture
     def controls(self):
-        controls = sim._blas_thread_controls()
-        if controls is None:
+        get = estimation._openblas_function("scipy_openblas_get_num_threads64_",
+                                            ctypes.c_int)
+        set_ = estimation._openblas_function("scipy_openblas_set_num_threads64_", None,
+                                             ctypes.c_int)
+        if get is None or set_ is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
-        get, set_ = controls
         before = get()
         set_(2)
         yield get
