@@ -231,8 +231,8 @@ def load_config(preset: str | None, config_path: str | None, scale: str,
 # payload builders
 # ---------------------------------------------------------------------------
 
-def _support_payload(sup: rmt.SpectralSupport | None):
-    return None if sup is None else [[lo, hi] for lo, hi in sup.intervals]
+def _support_payload(sup: rmt.SpectralSupport):
+    return [[lo, hi] for lo, hi in sup.intervals]
 
 
 def _eigen_payload(samples: list[np.ndarray], supports: dict) -> dict:
@@ -383,15 +383,18 @@ def run_preset(cfg: dict, out_dir: Path) -> Path:
     return out_dir / env_name
 
 
+_EIGEN_BINS = 60  # histogram bins of every eigen CSV
+
+
 def _csv_header(envelope: dict) -> str:
     return f"# config_hash={envelope['config_hash']} seed={envelope['seed']}\n"
 
 
-def _eigen_csv(eigen: dict, envelope: dict, bins: int = 60) -> str:
+def _eigen_csv(eigen: dict, envelope: dict) -> str:
     pooled = np.concatenate([np.asarray(t) for t in eigen["samples_per_trial"]])
     if pooled.size == 0:
         raise ConfigError("no data: eigen payload holds no samples")
-    density, edges = np.histogram(pooled, bins=bins, density=True)
+    density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     supports = [(sname, iv) for sname, ivs in eigen.get("supports", {}).items()
                 if ivs for iv in ivs]
@@ -424,11 +427,8 @@ def _ber_csv(ber: dict, envelope: dict) -> str:
 
 def _support_csv(supports: dict, envelope: dict) -> str:
     lines = [_csv_header(envelope), "law,interval_index,lo,hi\n"]
-    for name, ivs in supports.items():
-        if name == "truncation_flags" or ivs is None:
-            continue
-        for j, (lo, hi) in enumerate(ivs):
-            lines.append(f"{name},{j},{lo!r},{hi!r}\n")
+    lines += [f"{name},{j},{lo!r},{hi!r}\n" for name, ivs in supports.items()
+              if name != "truncation_flags" for j, (lo, hi) in enumerate(ivs)]
     return "".join(lines)
 
 

@@ -6,17 +6,16 @@ N*p_interference), while the analytic laws describe the Y^H Y / (M N)
 normalization; attached supports are therefore scaled by N before overlay.
 
 Trials are independent work units seeded as (seed, trial_index) streams, so
-trial order never changes a result.  BER blocks run on every CPU this
-process may use, one Python thread per CPU, each result kept in its block's
-slot; their BLAS calls and eigensolves release the interpreter lock.
-Eigen trials run in order, one after another: the noiseless Bartlett trials
-are products of C x C matrices, small enough that the interpreter lock, held
-between numpy calls, serializes threads and makes them slower, and no
-benchmark workload runs the noisy or wide ones.  All trials run with one
-BLAS thread (``estimation.one_blas_thread``, which owns the binding to
-numpy's OpenBLAS): their matrices are small enough that BLAS threading costs
-more than it saves, and a fixed thread count makes the floating-point
-results independent of OPENBLAS_NUM_THREADS.
+trial order never changes a result.  One ``_map_trials`` call runs all the
+blocks of a BER family's ratio points, one Python thread per usable CPU;
+their BLAS calls and eigensolves release the interpreter lock.  Eigen trials
+run in order on the calling thread: the noiseless Bartlett trials' C x C
+products hold the interpreter lock between small numpy calls, so threads
+make them slower, and no benchmark workload runs the noisy or wide ones.
+All trials run with one BLAS thread (``estimation.one_blas_thread``): their
+matrices are small enough that BLAS threading costs more than it saves, and
+a fixed thread count makes the floating-point results independent of
+OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -60,18 +59,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_trials(fn, n_trials: int, parallel: bool = True) -> list:
+def _map_trials(fn, n_trials: int) -> list:
     """``[fn(t) for t in range(n_trials)]``, with one BLAS thread.
 
-    In parallel, the calling thread and one helper thread per further usable
-    CPU (at most one thread per trial) take trial indices from one shared
-    counter.  A failed trial stops the taking of new ones; every trial below
-    it was taken already and finishes, so once all helpers are joined the
-    error raised is that of the lowest-numbered failed trial, as in order.
-    If a helper cannot start, the ones started take no further trials and
-    are joined before that error leaves.
+    The calling thread and one helper thread per further usable CPU (at most
+    one thread per trial) take trial indices from one shared counter.  A
+    failed trial stops the taking of new ones; every trial below it was taken
+    already and finishes, so once all helpers are joined the error raised is
+    that of the lowest-numbered failed trial, as in order.  If a helper
+    cannot start, the ones started take no further trials and are joined
+    before that error leaves.
     """
-    workers = min(_usable_cpus(), n_trials) if parallel else 1
+    workers = min(_usable_cpus(), n_trials)
     results = [None] * n_trials
     failed: dict[int, BaseException] = {}
     indices = itertools.count()
@@ -202,21 +201,20 @@ def law_support(params: SystemParams, name: str) -> rmt.SpectralSupport:
         users, power = ((k, params.signal_power) if name == "iid_signal"
                         else (k * (l - 1), params.interference_power))
         sup = rmt.support_iid(power, users / m, users / n)
-    elif not params.aoa_counts:
-        raise ConfigError(f"law {name!r} needs AoA counts; scenario {params.scenario!r} "
-                          "gives none")
+    elif name not in _OVERLAYS[params.scenario]:
+        laws = ", ".join(law for law in _OVERLAYS[params.scenario] if law)
+        raise ConfigError(f"law {name!r} does not describe scenario {params.scenario!r}, "
+                          f"whose laws are {laws}")
     elif name in ("one_sided_signal", "one_sided_interference"):
         role = name.removeprefix("one_sided_")
         sup = rmt.support_onesided(getattr(rmt.OneSidedParams, role)(params))
     elif name == "double_sided":
         sup = rmt.support_double_sided(rmt.DoubleSidedParams.from_system(params))
-    elif name == "distinct_interference":
+    else:  # distinct_interference
         counts = params.aoa_counts[1:]
         if len(set(counts)) > 1:
             raise ConfigError(f"interfering cells have unequal AoA counts {counts}")
         sup = rmt.support_distinct(k, l, m, n, counts[0], params.interference_power)
-    else:
-        raise ConfigError(f"unknown law {name!r}")
     return sup.scaled(n)
 
 
@@ -269,7 +267,8 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
             lam = _product_eigs(channel, cols, amp[:, None] * bartlett_factor(rng, c, n))
         return lam[lam > NONZERO_EIG_RTOL * lam.max(initial=0.0)]
 
-    return _map_trials(one_trial, trials, parallel=False)
+    with one_blas_thread():
+        return [one_trial(t) for t in range(trials)]
 
 
 def run_saturation_experiment(num_aoas: int, m_physical: int, params: SystemParams,
@@ -303,23 +302,33 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple,
-               sweep_value: float) -> dict[str, BerPoint]:
-    """Simulate coherence blocks until bits_target served-cell data bits.
+def run_ber_experiment(params: SystemParams, ratios_db, bits_target: int,
+                       seed: int) -> dict[str, list[BerPoint]]:
+    """BER versus interference-to-signal ratio (dB) for both schemes, one
+    point per ratio; ``params.interference_power`` becomes ratio * p_signal.
 
-    Both schemes share the same blocks; the 95% CI is computed over
-    per-block error rates (blocks are i.i.d.).
+    Each point runs coherence blocks, shared by both schemes, until
+    bits_target served-cell data bits.  One ``_map_trials`` call runs every
+    block of every point: trial t is block t % n_blocks of point
+    t // n_blocks, seeded as (point, block).  Each point's 95% CI is computed
+    over its own per-block error rates (blocks are i.i.d.).
     """
+    if bits_target < 1:
+        raise ConfigError("bits_target must be positive")
     k, l, n = params.users_per_cell, params.num_cells, params.block_length
     layout = PilotLayout(num_users=k, block_length=n)
     bits_per_block = 2 * k * layout.num_data
     n_blocks = max(2, int(np.ceil(bits_target / bits_per_block)))
+    ratios_db = list(ratios_db)
+    point_params = [replace(params, interference_power=db_to_linear(r) * params.signal_power)
+                    for r in ratios_db]
 
     def draw_symbols(rng):
         return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(l)])
 
-    def one_block(blk: int):
-        y, x = draw_block(params, trial_rng(seed, point_key + (blk,)), draw_symbols)
+    def one_block(t: int):
+        j, blk = divmod(t, n_blocks)
+        y, x = draw_block(point_params[j], trial_rng(seed, (j, blk)), draw_symbols)
         sent = x[:k, k:]
         model = estimate_subspace_channel(y, layout)
         dec_sub = mf_detect(model.projected[:, k:], model.estimate)
@@ -327,34 +336,16 @@ def _ber_point(params: SystemParams, bits_target: int, seed, point_key: tuple,
         return {name: count_bit_errors(dec, sent) / bits_per_block
                 for name, dec in (("subspace", dec_sub), ("pilot", dec_pil))}
 
-    per_block = _map_trials(one_block, n_blocks)
-    out = {}
-    for s in SCHEMES:
-        r = np.array([res[s] for res in per_block])
-        mean = float(r.mean())
-        half = 1.96 * float(r.std(ddof=1)) / np.sqrt(n_blocks)
-        out[s] = BerPoint(sweep_value, mean, max(mean - half, 0.0), mean + half,
-                          n_blocks * bits_per_block)
-    return out
-
-
-def run_ber_experiment(params: SystemParams, ratios_db, bits_target: int,
-                       seed: int) -> dict[str, list[BerPoint]]:
-    """BER versus interference-to-signal ratio (dB) for both schemes, one
-    point per ratio.
-
-    ``params.interference_power`` is overridden per sweep point with
-    ratio * p_signal.
-    """
-    if bits_target < 1:
-        raise ConfigError("bits_target must be positive")
+    per_block = _map_trials(one_block, len(ratios_db) * n_blocks)
     points: dict[str, list[BerPoint]] = {s: [] for s in SCHEMES}
     for j, ratio_db in enumerate(ratios_db):
-        p_i = db_to_linear(ratio_db) * params.signal_power
-        point_params = replace(params, interference_power=p_i)
-        res = _ber_point(point_params, bits_target, seed, (j,), float(ratio_db))
+        blocks = per_block[j * n_blocks:(j + 1) * n_blocks]
         for s in SCHEMES:
-            points[s].append(res[s])
+            r = np.array([res[s] for res in blocks])
+            mean = float(r.mean())
+            half = 1.96 * float(r.std(ddof=1)) / np.sqrt(n_blocks)
+            points[s].append(BerPoint(float(ratio_db), mean, max(mean - half, 0.0),
+                                      mean + half, n_blocks * bits_per_block))
     return points
 
 

@@ -551,6 +551,17 @@ BAD_INPUTS = {
     "config-double-one-cell": ("num_cells", [], dict(PIN_CONFIGS["support_plot"], num_cells=1)),
     "set-double-no-interference": ("interference_power", ["--set", "interference_power=0"],
                                    PIN_CONFIGS["support_plot"]),
+    # a law outside the scenario's overlays: the identical-AoA joint and
+    # one-sided interference laws were written for distinct AoAs, and the
+    # one-sided laws for an i.d. run that kept its AoA counts
+    "config-double-distinct": ("scenario", [], dict(PIN_CONFIGS["support_plot"],
+                                                    scenario="distinct_aoas",
+                                                    aoa_counts=[16, 8], modes=["double"])),
+    "config-onesided-distinct": ("scenario", [], dict(PIN_CONFIGS["support_plot"],
+                                                      scenario="distinct_aoas",
+                                                      aoa_counts=[16, 8], modes=["onesided"])),
+    "set-onesided-iid-with-aoas": ("scenario", ["--set", "scenario=iid"],
+                                   dict(PIN_CONFIGS["support_plot"], modes=["onesided"])),
     "config-users-list": ("users_per_cell", [], dict(PIN_CONFIGS["eigen"], users_per_cell=[2])),
     # law-parameter files
     "support-double-power-string": ("p_signal", ["support", "--mode", "double"],

@@ -401,22 +401,32 @@ class TestUsableCpus:
         assert sim._usable_cpus() == 1
 
 
+@pytest.fixture
+def blas_threads():
+    """Getter of numpy's OpenBLAS thread count, set to 2 for the test and
+    restored after; None where that library is not found."""
+    get = estimation._openblas_function("scipy_openblas_get_num_threads64_",
+                                        ctypes.c_int)
+    set_ = estimation._openblas_function("scipy_openblas_set_num_threads64_", None,
+                                         ctypes.c_int)
+    if get is None or set_ is None:
+        yield None
+        return
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
 class TestBlasThreads:
     """Trials run with one BLAS thread, in every thread of the map; the
     caller's count comes back after."""
 
     @pytest.fixture
-    def controls(self):
-        get = estimation._openblas_function("scipy_openblas_get_num_threads64_",
-                                            ctypes.c_int)
-        set_ = estimation._openblas_function("scipy_openblas_set_num_threads64_", None,
-                                             ctypes.c_int)
-        if get is None or set_ is None:
+    def controls(self, blas_threads):
+        if blas_threads is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
-        before = get()
-        set_(2)
-        yield get
-        set_(before)
+        return blas_threads
 
     def test_one_thread_inside_restored_after(self, controls):
         seen = sim._map_trials(lambda t: controls(), 3)
@@ -501,15 +511,23 @@ class TestParallelTrials:
         assert all(len(pts) == 2 for pts in runs[0].values())
 
     @pytest.mark.parametrize("noise", [False, True])
-    def test_eigen_trials_stay_on_calling_thread(self, monkeypatch, noise):
+    def test_eigen_trials_stay_on_calling_thread(self, monkeypatch, noise, blas_threads):
+        # and each runs with one BLAS thread, where numpy's OpenBLAS is found
         _cpus(monkeypatch, 4)
-        threads = []
+        threads, counts = [], []
         rng = sim.trial_rng
-        monkeypatch.setattr(sim, "trial_rng",
-                            lambda *key: threads.append(threading.get_ident()) or rng(*key))
+
+        def traced_rng(*key):
+            threads.append(threading.get_ident())
+            counts.append(blas_threads() if blas_threads else 1)
+            return rng(*key)
+
+        monkeypatch.setattr(sim, "trial_rng", traced_rng)
         p = _params(noise_enabled=noise, num_antennas=50, block_length=80, aoa_counts=(25,))
         assert len(sim.run_eigen_experiment(p, trials=6, seed=3)) == 6
         assert threads == [threading.get_ident()] * 6
+        assert counts == [1] * 6
+        assert blas_threads is None or blas_threads() == 2
 
     def test_helpers_keep_callers_errstate(self, monkeypatch):
         _cpus(monkeypatch, 4)
@@ -536,3 +554,50 @@ class TestParallelTrials:
             sys.setswitchinterval(interval)
         assert out == [t * t for t in range(400)]
         assert sorted(calls) == list(range(400))
+
+
+class TestOneMapPerFamily:
+    """A BER family's blocks, over all its ratio points, go through one trial
+    map; errors still surface as if the points ran one after another."""
+
+    P = dict(noise_enabled=True, signal_power=0.3, num_antennas=48, block_length=60,
+             aoa_counts=(24,))
+
+    def test_one_map_call_for_every_block(self, monkeypatch):
+        calls = []
+        map_trials = sim._map_trials
+        monkeypatch.setattr(sim, "_map_trials",
+                            lambda fn, n: calls.append(n) or map_trials(fn, n))
+        p = _params(**self.P)
+        res = sim.run_ber_experiment(p, [-6.0, 0.0, 3.0], bits_target=3000, seed=5)
+        layout = estimation.PilotLayout(num_users=p.users_per_cell,
+                                        block_length=p.block_length)
+        n_blocks = int(np.ceil(3000 / (2 * p.users_per_cell * layout.num_data)))
+        assert n_blocks > 2
+        assert calls == [3 * n_blocks]
+        assert [pt.sweep_value for pt in res["pilot"]] == [-6.0, 0.0, 3.0]
+
+    def test_lowest_failing_block_raises(self, monkeypatch, blas_threads):
+        # block (2, 1) fails first, then block (1, 0); the map raises (1, 0)'s
+        # error, as a point-by-point sweep would, with every helper joined
+        _cpus(monkeypatch, 4)
+        threads_before = threading.active_count()
+        later_failed = threading.Event()
+        rng = sim.trial_rng
+
+        def failing_rng(seed, key):
+            if key == (2, 1):
+                later_failed.set()
+                raise RuntimeError("block (2, 1) failed")
+            if key == (1, 0):
+                assert later_failed.wait(timeout=30)
+                raise RuntimeError("block (1, 0) failed")
+            return rng(seed, key)
+
+        monkeypatch.setattr(sim, "trial_rng", failing_rng)
+        with pytest.raises(RuntimeError, match=r"^block \(1, 0\) failed$"):
+            # 100 bits fit in one block, so each point runs the minimum of two
+            sim.run_ber_experiment(_params(**self.P), [-6.0, 0.0, 3.0],
+                                   bits_target=100, seed=5)
+        assert threading.active_count() == threads_before
+        assert blas_threads is None or blas_threads() == 2
