@@ -242,8 +242,7 @@ def _eigen_payload(samples: list[np.ndarray], supports: dict) -> dict:
     }
     for sup in supports.values():
         if sup.truncation is not None:
-            payload["truncation"] = {**dataclasses.asdict(sup.truncation),
-                                     "flags": sup.truncation.flags}
+            payload["truncation"] = sup.truncation
     return payload
 
 
@@ -285,7 +284,7 @@ def _run_support_plot(cfg: dict, params: SystemParams) -> dict:
             sup = sim.law_support(params, name)
             out[name.replace("one_sided", "onesided")] = _support_payload(sup)
             if sup.truncation is not None:
-                out["truncation_flags"] = sup.truncation.flags
+                out["truncation_flags"] = sup.truncation["flags"]
     return {"supports": out}
 
 
@@ -394,7 +393,14 @@ def _eigen_csv(eigen: dict, envelope: dict) -> str:
     pooled = np.concatenate([np.asarray(t) for t in eigen["samples_per_trial"]])
     if pooled.size == 0:
         raise ConfigError("no data: eigen payload holds no samples")
-    density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True)
+    try:
+        density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True)
+    except ValueError:
+        # numpy refuses a range narrower than _EIGEN_BINS float spacings of the
+        # data (a lone eigenvalue near 1e15, say): pad it by twice that each side
+        pad = 2 * _EIGEN_BINS * np.spacing(pooled.max())
+        density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True,
+                                      range=(pooled.min() - pad, pooled.max() + pad))
     centers = 0.5 * (edges[:-1] + edges[1:])
     supports = [(sname, iv) for sname, ivs in eigen.get("supports", {}).items()
                 if ivs for iv in ivs]
@@ -498,7 +504,7 @@ def cmd_support(args) -> int:
     sup = _call_law(args.mode, 2, args.params)
     out = {"mode": args.mode, "intervals": _support_payload(sup)}
     if sup.truncation is not None:
-        out["truncation_flags"] = sup.truncation.flags
+        out["truncation_flags"] = sup.truncation["flags"]
     print(json.dumps(out))
     return 0
 

@@ -174,7 +174,8 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     as an (n, degree) array, from one stacked companion-matrix eigen solve per
     column degree.  Leading |c| <= 1e-300 are trimmed per column; the roots
     they drop are NaN.  The matrices are those of ``np.roots``, so with a
-    nonzero constant term the roots and their order are the same."""
+    nonzero constant term the roots and their order are the same.  A ratio
+    to the leading coefficient that overflows a float is a ConfigError."""
     coeffs = np.asarray(coeffs)
     deg = coeffs.shape[0] - 1
     big = np.abs(coeffs) > 1e-300
@@ -183,8 +184,13 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     for d in sorted(set(order[order > 0].tolist())):
         cols = order == d
         c = coeffs[deg - d:, cols]
+        with np.errstate(over="ignore"):
+            top = -c[1:] / c[0]
+        if not np.isfinite(top).all():
+            raise ConfigError(f"law coefficients overflow a float when divided by the "
+                              f"leading one, down to {np.min(np.abs(c[0])):.3g}")
         comp = np.zeros((c.shape[1], d, d), dtype=c.dtype)
-        comp[:, 0, :] = (-c[1:] / c[0]).T
+        comp[:, 0, :] = top.T
         comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         out[cols, :d] = np.linalg.eigvals(comp)
     return out
@@ -217,6 +223,9 @@ def _track_to(table: np.ndarray, s_from: complex, g_from: complex, s_to: complex
     if roots is None:
         roots = _roots_at(table, [s_to])[0]
     roots = roots[~np.isnan(roots)]
+    if not roots.size:
+        raise BranchTrackingError(f"no root in G left at s={s_to:.6g}: the law's "
+                                  "coefficients of G^1 and above are all below 1e-300")
     d = np.abs(roots - g_from)
     order = np.argsort(d)
     g = roots[order[0]]

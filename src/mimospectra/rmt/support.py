@@ -15,7 +15,8 @@ real-root count is constant the k-th sorted root is one branch; where the
 count changes, roots are matched to the previous branches by nearest
 distance.  Maximal increasing runs are marked via central finite differences
 (extrema refined by a 3-point parabolic fit), and the support is the
-complement of the union of run images on [0, inf).
+complement of the union of run images on [0, inf).  Every scan returns a
+frozen ``SpectralSupport``, built complete.
 """
 
 from __future__ import annotations
@@ -36,30 +37,13 @@ X_MIN, X_MAX, POINTS = 1e-6, 1e3, 10_000
 
 
 @dataclass(frozen=True)
-class TruncationReport:
-    """Validity diagnostics for the truncated double-sided inverse function.
-
-    The cubic and quadratic terms in upsilon were dropped assuming both
-    ratios are >> 1; either below 10 flags the approximation as suspect.
-    """
-
-    ratio_triple: float      # (alpha+eta+gamma) / (alpha*eta*gamma)
-    ratio_pairwise: float    # (alpha+eta+gamma) / (alpha*gamma+alpha*eta+eta*gamma)
-
-    @property
-    def flags(self) -> list[str]:
-        return [f"{name} ratio {r:.3g} < 10.0" for name, r in (
-            ("triple-product", self.ratio_triple), ("pairwise", self.ratio_pairwise))
-            if r < 10.0]
-
-
-@dataclass
 class SpectralSupport:
     """Ordered disjoint intervals approximating the positive bulk support,
-    and the truncation report of the law they came from (double-sided only)."""
+    and the truncation report of the law they came from (double-sided only):
+    a dict of ``ratio_triple``, ``ratio_pairwise`` and ``flags``."""
 
     intervals: list[tuple[float, float]]
-    truncation: TruncationReport | None = None
+    truncation: dict | None = None
 
     def __post_init__(self):
         for lo, hi in self.intervals:
@@ -238,18 +222,23 @@ def double_inverse_coeffs(p: DoubleSidedParams) -> np.ndarray:
 
 
 def support_double_sided(params: DoubleSidedParams) -> SpectralSupport:
-    """Support of the joint two-power law, with its truncation diagnostics.
+    """Support of the joint two-power law, with its truncation report.
 
     The scan uses the law truncated to its linear upsilon term; the radical
     is removed by squaring, and both roots in s are genuine inverse branches
     (they match the two preimages of the exact two-mass transform in the
-    small-ratio limit), so no sign filtering applies.
+    small-ratio limit), so no sign filtering applies.  The cubic and
+    quadratic terms in upsilon were dropped assuming both ratios of the
+    report are >> 1; either below 10 is flagged as suspect.
     """
     al, et, ga = params.alpha, params.eta, params.gamma
-    support = scan_support(double_inverse_coeffs(params), "double-sided")
-    support.truncation = TruncationReport((al + et + ga) / (al * et * ga),
-                                          (al + et + ga) / (al * ga + al * et + et * ga))
-    return support
+    intervals = scan_support(double_inverse_coeffs(params), "double-sided").intervals
+    triple = (al + et + ga) / (al * et * ga)
+    pairwise = (al + et + ga) / (al * ga + al * et + et * ga)
+    return SpectralSupport(intervals, {
+        "ratio_triple": triple, "ratio_pairwise": pairwise,
+        "flags": [f"{name} ratio {r:.3g} < 10.0" for name, r in
+                  (("triple-product", triple), ("pairwise", pairwise)) if r < 10.0]})
 
 
 def distinct_inverse_coeffs(*args) -> np.ndarray:

@@ -5,6 +5,10 @@ coherence block (so cluster centers sit near N*p_signal and
 N*p_interference), while the analytic laws describe the Y^H Y / (M N)
 normalization; attached supports are therefore scaled by N before overlay.
 
+Received blocks (``draw_block``) take their users' amplitudes from the
+caller, so the ratio points of a BER sweep share one ``SystemParams`` and
+differ only in the amplitude vector each builds.
+
 Trials are independent work units seeded as (seed, trial_index) streams, so
 trial order never changes a result.  One ``_map_trials`` call runs all the
 blocks of a BER family's ratio points, one Python thread per usable CPU;
@@ -122,13 +126,14 @@ def worst_case_power_diagonal(num_users: int, num_cells: int,
 # ---------------------------------------------------------------------------
 
 def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
-               cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+               amp: np.ndarray, cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Draw the channel, then the K*L x N symbols ``draw_symbols(rng)`` (rows
     grouped by cell like the composite's columns), then the noise; return
-    the received Y = H[:, cols] @ (sqrt(powers) * X[cols]) + W and X[cols].
+    the received Y = H[:, cols] @ (diag(amp) X[cols]) + W and X[cols].
 
-    Powers follow the worst-case split of ``worst_case_power_diagonal``;
-    ``cols`` keeps a slice of the users (the eigen term selector).
+    ``cols`` keeps a slice of the users (the eigen term selector) and
+    ``amp`` holds the kept users' amplitudes, the square roots of their
+    powers; the block reads no power from ``params``.
     """
     k, l, n = params.users_per_cell, params.num_cells, params.block_length
     ch = realize_channel(params, rng)
@@ -136,9 +141,7 @@ def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
     if x.shape != (k * l, n):
         raise ConfigError(f"symbols have shape {x.shape}, expected {(k * l, n)}")
     noise = crandn(rng, params.num_antennas, n) if params.noise_enabled else None
-    powers = worst_case_power_diagonal(k, l, params.signal_power,
-                                       params.interference_power)
-    y = ch.composite[:, cols] @ (np.sqrt(powers[cols])[:, None] * x[cols])
+    y = ch.composite[:, cols] @ (amp[:, None] * x[cols])
     if noise is not None:
         y += noise
     return y, x[cols]
@@ -260,7 +263,7 @@ def run_eigen_experiment(params: SystemParams, trials: int, seed: int,
     def one_trial(t: int) -> np.ndarray:
         rng = trial_rng(seed, t)
         if params.noise_enabled or c > min(m, n):
-            y, _ = draw_block(params, rng, lambda g: crandn(g, k * l, n), cols)
+            y, _ = draw_block(params, rng, lambda g: crandn(g, k * l, n), amp, cols)
             lam = np.sort(np.linalg.svd(y, compute_uv=False) ** 2 / m)
         else:
             channel = realize_channel(params, rng)
@@ -305,7 +308,8 @@ def db_to_linear(x_db: float) -> float:
 def run_ber_experiment(params: SystemParams, ratios_db, bits_target: int,
                        seed: int) -> dict[str, list[BerPoint]]:
     """BER versus interference-to-signal ratio (dB) for both schemes, one
-    point per ratio; ``params.interference_power`` becomes ratio * p_signal.
+    point per ratio, whose blocks send the other cells' users at ratio *
+    p_signal in place of ``params.interference_power``.
 
     Each point runs coherence blocks, shared by both schemes, until
     bits_target served-cell data bits.  One ``_map_trials`` call runs every
@@ -320,15 +324,16 @@ def run_ber_experiment(params: SystemParams, ratios_db, bits_target: int,
     bits_per_block = 2 * k * layout.num_data
     n_blocks = max(2, int(np.ceil(bits_target / bits_per_block)))
     ratios_db = list(ratios_db)
-    point_params = [replace(params, interference_power=db_to_linear(r) * params.signal_power)
-                    for r in ratios_db]
+    p_s = params.signal_power
+    point_amp = [np.sqrt(worst_case_power_diagonal(k, l, p_s, db_to_linear(r) * p_s))
+                 for r in ratios_db]
 
     def draw_symbols(rng):
         return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(l)])
 
     def one_block(t: int):
         j, blk = divmod(t, n_blocks)
-        y, x = draw_block(point_params[j], trial_rng(seed, (j, blk)), draw_symbols)
+        y, x = draw_block(params, trial_rng(seed, (j, blk)), draw_symbols, point_amp[j])
         sent = x[:k, k:]
         model = estimate_subspace_channel(y, layout)
         dec_sub = mf_detect(model.projected[:, k:], model.estimate)

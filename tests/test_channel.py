@@ -17,7 +17,7 @@ from mimospectra.channel import (
     steering_gram,
 )
 from mimospectra.errors import ConfigError
-from mimospectra.sim import draw_block
+from mimospectra.sim import draw_block, worst_case_power_diagonal
 
 
 def _steering(ch):
@@ -320,9 +320,15 @@ def _zeros(rng):
     return np.zeros((20, 400), dtype=complex)
 
 
+def _amp(p):
+    """Every user's amplitude under the worst-case split of p's powers."""
+    return np.sqrt(worst_case_power_diagonal(p.users_per_cell, p.num_cells,
+                                             p.signal_power, p.interference_power))
+
+
 class TestReceivedBlock:
     def test_zero_symbols_zero_output(self):
-        y, _ = draw_block(_params(), np.random.default_rng(1), _zeros)
+        y, _ = draw_block(_params(), np.random.default_rng(1), _zeros, _amp(_params()))
         assert np.all(y == 0)
 
     @pytest.mark.parametrize("noise,expect", [(True, 1.875), (False, 0.875)])
@@ -335,7 +341,7 @@ class TestReceivedBlock:
         n_blocks = 1000 if not noise else 300
         for t in range(n_blocks):
             y, _ = draw_block(p, np.random.default_rng((7, t)),
-                              lambda g: crandn(g, 20, 400))
+                              lambda g: crandn(g, 20, 400), _amp(p))
             total += float((np.abs(y) ** 2).sum())
             count += y.size
         assert total / count == pytest.approx(expect, rel=0.02)
@@ -343,7 +349,7 @@ class TestReceivedBlock:
     def test_single_cell_column_exact(self):
         p = _params(num_cells=1, aoa_counts=(50,))
         eye = np.concatenate([np.eye(5), np.zeros((5, 395))], axis=1).astype(complex)
-        y, x = draw_block(p, np.random.default_rng(3), lambda g: eye)
+        y, x = draw_block(p, np.random.default_rng(3), lambda g: eye, _amp(p))
         # the composite is the channel drawn first from the same stream
         h = realize_channel(p, np.random.default_rng(3)).composite
         np.testing.assert_allclose(y[:, :5], np.sqrt(0.1) * h, atol=1e-12)
@@ -352,13 +358,14 @@ class TestReceivedBlock:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             draw_block(_params(), np.random.default_rng(1),
-                       lambda g: np.zeros((5, 10)))
+                       lambda g: np.zeros((5, 10)), _amp(_params()))
 
     def test_matches_per_cell_sum(self):
         # reference: sqrt(p_s) H_1 X_1 + sqrt(p_i) sum_{i>=2} H_i X_i + W,
         # summed cell by cell; the builder does one matmul
         p = _params(noise_enabled=True)
-        got, sent = draw_block(p, np.random.default_rng(5), lambda g: crandn(g, 20, 400))
+        got, sent = draw_block(p, np.random.default_rng(5), lambda g: crandn(g, 20, 400),
+                               _amp(p))
         g = np.random.default_rng(5)
         ch = realize_channel(p, g)
         x = crandn(g, 20, 400)
@@ -371,6 +378,6 @@ class TestReceivedBlock:
 
     def test_determinism(self):
         p = _params(noise_enabled=True)
-        a, _ = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400))
-        b, _ = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400))
+        a, _ = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400), _amp(p))
+        b, _ = draw_block(p, np.random.default_rng(13), lambda g: crandn(g, 20, 400), _amp(p))
         np.testing.assert_array_equal(a, b)

@@ -670,6 +670,59 @@ def test_bad_input_is_one_line_config_error(case, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json"]
 
 
+# (exit code, argv, params) of law inputs whose roots cannot be taken: a
+# companion matrix that overflows a float, and a point with no root in G left.
+# Each used to end in a traceback from the root solver.
+UNSOLVABLE_LAWS = {
+    "support-onesided-companion-overflow": (
+        2, ["support", "--mode", "onesided"],
+        dict(scale=1e-300, inner_dim=200, m=2, n=3, p=100_000)),
+    "stieltjes-onesided-companion-overflow": (
+        2, ["stieltjes", "--law", "onesided", "--s-re", "0.05", "--s-im", "0.001"],
+        dict(scale=1e-300, inner_dim=10_000_000, m=3, n=2, p=100_000)),
+    "stieltjes-double-no-root": (
+        3, ["stieltjes", "--law", "double", "--s-re", "-1", "--s-im", "0.001"],
+        dict(num_users=1, num_cells=1, num_antennas=3, block_length=5, num_aoas=10_000_000,
+             p_signal=1e-12, p_interference=1e-300)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSOLVABLE_LAWS))
+def test_unsolvable_law_is_one_line(case, tmp_path, capsys):
+    code, argv, params = UNSOLVABLE_LAWS[case]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    rc = cli.main(argv + ["--params", str(path)])
+    captured = capsys.readouterr()
+    assert rc == code and not captured.out
+    err = captured.err.strip()
+    assert err.startswith({2: "config error", 3: "numerical failure"}[code])
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
+
+
+def test_lone_eigenvalue_below_float_resolution_is_binned(tmp_path):
+    """One eigenvalue near 1.9e14 spans fewer than 60 float spacings, which
+    numpy's histogram refuses to split into 60 bins; the run used to end in
+    that ValueError's traceback."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "kind": "eigen", "scenario": "iid", "num_antennas": 1, "users_per_cell": 1,
+        "num_cells": 1, "block_length": 1, "signal_power_db": 140.0, "trials": 1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the i.d. law has no support to attach here
+        rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    env = json.loads((tmp_path / "out" / "eigen_result.json").read_text())
+    (lam,), = env["payload"]["eigen"]["samples_per_trial"]
+    centers, density = np.loadtxt(tmp_path / "out" / "eigen_eigen_hist.csv",
+                                  delimiter=",", skiprows=2).T
+    width = centers[1] - centers[0]
+    assert len(centers) == 60 and np.all(np.diff(centers) > 0)
+    assert density.sum() * width == pytest.approx(1.0)
+    assert centers[0] - width / 2 <= lam <= centers[-1] + width / 2
+
+
 def test_overflowing_overlay_is_skipped_with_a_warning(tmp_path):
     """An eigen run whose joint law table overflows keeps its samples and
     drops that overlay with a warning, as any overlay that cannot be built."""

@@ -147,7 +147,7 @@ def _ber_block(seed, scenario, m, n, k, aoa_counts=()):
     def draw_symbols(rng):
         return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(4)])
 
-    return sim.draw_block(params, np.random.default_rng(seed), draw_symbols)[0]
+    return sim.draw_block(params, np.random.default_rng(seed), draw_symbols, np.ones(4 * k))[0]
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Support-boundary solvers against Monte Carlo extreme eigenvalues."""
 
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -54,7 +55,7 @@ class TestSupportDoubleSided:
                                        p_signal=P_S, p_interference=P_I)
         sup = rmt.support_double_sided(params)
         assert len(sup.intervals) == 2
-        assert not sup.truncation.flags
+        assert not sup.truncation["flags"]
         rng = np.random.default_rng(0)
         d = np.concatenate([np.full(K, P_S), np.full(K * (L - 1), P_I)])
         lows, highs = [], []
@@ -86,10 +87,19 @@ class TestSupportDoubleSided:
         sup = rmt.support_double_sided(rmt.DoubleSidedParams(
             num_users=5, num_cells=2, num_antennas=15, block_length=15, num_aoas=15,
             p_signal=0.1, p_interference=0.01))
-        assert sup.truncation.ratio_triple == pytest.approx(6.75)
-        assert sup.truncation.ratio_pairwise == pytest.approx(1.5)
-        assert sup.truncation.flags == ["triple-product ratio 6.75 < 10.0",
-                                        "pairwise ratio 1.5 < 10.0"]
+        assert sup.truncation["ratio_triple"] == pytest.approx(6.75)
+        assert sup.truncation["ratio_pairwise"] == pytest.approx(1.5)
+        assert sup.truncation["flags"] == ["triple-product ratio 6.75 < 10.0",
+                                           "pairwise ratio 1.5 < 10.0"]
+
+    def test_support_is_built_complete_and_frozen(self):
+        sup = rmt.support_double_sided(rmt.DoubleSidedParams(
+            num_users=5, num_cells=2, num_antennas=15, block_length=15, num_aoas=15,
+            p_signal=0.1, p_interference=0.01))
+        assert sup.scaled(2.0).truncation == sup.truncation
+        for field in ("intervals", "truncation"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sup, field, None)
 
     def test_gap_monotone_in_aoa_count(self):
         prev = -1.0

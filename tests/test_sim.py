@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -576,6 +577,20 @@ class TestOneMapPerFamily:
         assert n_blocks > 2
         assert calls == [3 * n_blocks]
         assert [pt.sweep_value for pt in res["pilot"]] == [-6.0, 0.0, 3.0]
+
+    def test_points_share_the_family_params(self, monkeypatch):
+        # K / P = 5 / 24 > 0.2: building the params warns once, and the ratio
+        # points, which change only the blocks' amplitudes, build none
+        p = _params(**self.P)
+        built = []
+        post_init = SystemParams.__post_init__
+        monkeypatch.setattr(SystemParams, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sim.run_ber_experiment(p, [-6.0, 0.0, 3.0], bits_target=100, seed=5)
+        assert built == []
+        assert not [w for w in caught if "K << P" in str(w.message)]
 
     def test_lowest_failing_block_raises(self, monkeypatch, blas_threads):
         # block (2, 1) fails first, then block (1, 0); the map raises (1, 0)'s
