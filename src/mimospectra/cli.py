@@ -397,8 +397,10 @@ def _eigen_csv(eigen: dict, envelope: dict) -> str:
         density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True)
     except ValueError:
         # numpy refuses a range narrower than _EIGEN_BINS float spacings of the
-        # data (a lone eigenvalue near 1e15, say): pad it by twice that each side
-        pad = 2 * _EIGEN_BINS * np.spacing(pooled.max())
+        # data (a lone eigenvalue near 1e15, say): pad it by twice that each
+        # side, and by at least as many of the smallest normal floats, since
+        # bins a few subnormal spacings wide come out of order
+        pad = 2 * _EIGEN_BINS * max(np.spacing(pooled.max()), np.finfo(float).tiny)
         density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True,
                                       range=(pooled.min() - pad, pooled.max() + pad))
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -16,7 +16,10 @@ the results are the same to the bit.  Using numpy's build keeps scipy's
 own OpenBLAS, a second copy of the library, out of memory.  Only where
 numpy's build does not export that routine does the solve import
 ``scipy.linalg.eigh``.  Only this module binds that library, each symbol
-through ``_openblas_function``: the eigensolve and ``one_blas_thread``.
+through ``_openblas_function``: the eigensolve, ``one_blas_thread`` and
+``cblas_zgemm`` for ``product``, the block-sized products (each block's Gram
+and ``sim.draw_block``'s received block) that numpy's matmul would form with
+a conjugated copy or a temporary beside the noise.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ QPSK_SCALE = 1.0 / np.sqrt(2.0)
 # (rank-deficient or nearly so blocks) the subspace comes from the full SVD.
 GRAM_RTOL = 1e-3
 _LAPACK_COL_MAJOR = 102
+_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_CONJ_TRANS = 101, 111, 113
+_ONE, _ZERO = (ctypes.c_double * 2)(1.0, 0.0), (ctypes.c_double * 2)(0.0, 0.0)
 
 
 @cache
@@ -72,6 +77,59 @@ def _lapacke_zheevr():
                               c.c_char, c.c_char, i64, c.c_void_p, i64, c.c_double,
                               c.c_double, i64, i64, c.c_double, c.POINTER(i64),
                               c.c_void_p, c.c_void_p, i64, c.c_void_p)
+
+
+def _cblas_zgemm():
+    """``cblas_zgemm`` of numpy's bundled ILP64 OpenBLAS, the routine numpy's
+    complex matmul calls, or None."""
+    c, i64 = ctypes, ctypes.c_int64
+    return _openblas_function("scipy_cblas_zgemm64_", None, c.c_int, c.c_int, c.c_int,
+                              i64, i64, i64, c.c_void_p, c.c_void_p, i64, c.c_void_p, i64,
+                              c.c_void_p, c.c_void_p, i64)
+
+
+def product(a: np.ndarray, b: np.ndarray, adjoint: int | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` with operand ``adjoint`` (0 for ``a``, 1 for ``b``) taken as
+    its conjugate transpose; with ``out``, the product is added into it in
+    place and ``out`` returned.
+
+    One row-major ``cblas_zgemm`` call, the one numpy's matmul makes, so the
+    result is bitwise numpy's ``a @ b.conj().T`` (or ``out + a @ b``), but
+    BLAS reads the conjugate transpose in place of numpy's conjugated copy,
+    and adds into ``out`` (beta = 1) in place of a product-sized temporary.
+    Operands that are not C-contiguous complex128, an ``out`` that overlaps
+    them, a product with a dimension of 1 (where numpy calls another
+    routine) or a numpy without ``cblas_zgemm`` take the numpy expression.
+    """
+    zgemm = _cblas_zgemm()
+    arrays = (a, b) if out is None else (a, b, out)
+    blas = zgemm is not None and all(x.dtype == np.complex128 and x.ndim == 2
+                                     and x.flags.c_contiguous and x.flags.aligned
+                                     for x in arrays)
+    if blas:
+        (m, k), (kb, n) = (x.shape[::-1] if adjoint == i else x.shape
+                           for i, x in enumerate((a, b)))
+        blas = kb == k and min(m, n, k) > 1 and (
+            out is None or out.shape == (m, n) and not np.may_share_memory(out, a)
+            and not np.may_share_memory(out, b))
+    if not blas:
+        ops = [a, b]
+        if adjoint is not None:
+            ops[adjoint] = ops[adjoint].conj().T
+        if out is None:
+            return ops[0] @ ops[1]
+        out += ops[0] @ ops[1]
+        return out
+    trans = [_CBLAS_NO_TRANS, _CBLAS_NO_TRANS]
+    if adjoint is not None:
+        trans[adjoint] = _CBLAS_CONJ_TRANS
+    beta = _ZERO if out is None else _ONE
+    if out is None:
+        out = np.empty((m, n), dtype=np.complex128)
+    zgemm(_CBLAS_ROW_MAJOR, trans[0], trans[1], m, n, k, _ONE, a.ctypes.data, a.shape[1],
+          b.ctypes.data, b.shape[1], beta, out.ctypes.data, n)
+    return out
 
 
 @contextmanager
@@ -180,7 +238,9 @@ def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
     """K dominant left singular vectors of the received block.
 
     Solved on the smaller Gram side: the top K+1 eigenpairs of Y Y^H when
-    M <= N, else of Y^H Y with the vectors lifted as Y V Sigma^-1.  When
+    M <= N, else of Y^H Y with the vectors lifted as Y V Sigma^-1.  The Gram
+    is one ``product`` that reads Y^H in place, without a conjugated copy
+    of Y.  When
     sigma_K <= GRAM_RTOL * sigma_1 the full SVD is used instead.  A
     non-finite block or a failed solve is a NumericalError.
     """
@@ -189,7 +249,7 @@ def signal_subspace(y: np.ndarray, num_users: int) -> np.ndarray:
     if k > r:
         raise ConfigError(f"num_users={k} exceeds min(M, N)={r}")
     left = m <= n
-    gram = y @ y.conj().T if left else y.conj().T @ y
+    gram = product(y, y, adjoint=1 if left else 0)
     w, v = _top_eigenpairs(gram, r - min(k + 1, r))
     sv = np.sqrt(np.maximum(w[::-1], 0.0))
     if sv[k - 1] <= GRAM_RTOL * sv[0]:

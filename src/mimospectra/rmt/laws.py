@@ -235,7 +235,7 @@ def _track_to(table: np.ndarray, s_from: complex, g_from: complex, s_to: complex
     if depth >= 24:
         raise BranchTrackingError(
             f"ambiguous branch near s={s_to:.6g} (margin {margin:.3f}); "
-            f"candidate roots: {roots}")
+            f"candidate roots: {', '.join(f'{r:.6g}' for r in roots)}")
     mid = 0.5 * (s_from + s_to)
     g_mid = _track_to(table, s_from, g_from, mid, depth + 1)
     return _track_to(table, mid, g_mid, s_to, depth + 1)

@@ -43,6 +43,7 @@ from .estimation import (
     mf_detect,
     one_blas_thread,
     pilot_based_detect,
+    product,
 )
 
 NONZERO_EIG_RTOL = 1e-8
@@ -128,12 +129,14 @@ def worst_case_power_diagonal(num_users: int, num_cells: int,
 def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
                amp: np.ndarray, cols: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Draw the channel, then the K*L x N symbols ``draw_symbols(rng)`` (rows
-    grouped by cell like the composite's columns), then the noise; return
+    grouped by cell like the composite's columns), then the noise W; return
     the received Y = H[:, cols] @ (diag(amp) X[cols]) + W and X[cols].
 
-    ``cols`` keeps a slice of the users (the eigen term selector) and
-    ``amp`` holds the kept users' amplitudes, the square roots of their
-    powers; the block reads no power from ``params``.
+    The product is added into the noise array (``estimation.product``), so Y
+    is that array and no second M x N array is held; bitwise the same as
+    forming the product and adding W.  ``cols`` keeps a slice of the users
+    (the eigen term selector) and ``amp`` holds the kept users' amplitudes,
+    the square roots of their powers; the block reads no power from ``params``.
     """
     k, l, n = params.users_per_cell, params.num_cells, params.block_length
     ch = realize_channel(params, rng)
@@ -141,10 +144,7 @@ def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
     if x.shape != (k * l, n):
         raise ConfigError(f"symbols have shape {x.shape}, expected {(k * l, n)}")
     noise = crandn(rng, params.num_antennas, n) if params.noise_enabled else None
-    y = ch.composite[:, cols] @ (amp[:, None] * x[cols])
-    if noise is not None:
-        y += noise
-    return y, x[cols]
+    return product(ch.composite[:, cols], amp[:, None] * x[cols], out=noise), x[cols]
 
 
 def bartlett_factor(rng: np.random.Generator, size: int, dof: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared Monte Carlo helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,18 @@ def onesided_product_eigs(rng, scale, inner_dim, m, n, p, physical=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240813)
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes Python and numpy hold during one ``fn()``, its result
+    included, measured after a warm-up call so that caches are built."""
+    def peak(fn) -> int:
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -1,17 +1,24 @@
 """Config parsing, presets, envelopes, plot-data CSVs, and exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from mimospectra import cli, estimation, rmt, sim
-from mimospectra.channel import SystemParams
+from mimospectra.channel import SCENARIOS, SystemParams
 from mimospectra.errors import ConfigError, NumericalError
 
 
@@ -684,6 +691,10 @@ UNSOLVABLE_LAWS = {
         3, ["stieltjes", "--law", "double", "--s-re", "-1", "--s-im", "0.001"],
         dict(num_users=1, num_cells=1, num_antennas=3, block_length=5, num_aoas=10_000_000,
              p_signal=1e-12, p_interference=1e-300)),
+    # the failure printed its candidate roots as a numpy array over two lines
+    "stieltjes-onesided-ambiguous-branch": (
+        3, ["stieltjes", "--law", "onesided", "--s-re", "0", "--s-im", "1e-300"],
+        dict(scale=0.1, inner_dim=5, m=400, n=1000, p=200)),
 }
 
 
@@ -699,6 +710,93 @@ def test_unsolvable_law_is_one_line(case, tmp_path, capsys):
     assert err.startswith({2: "config error", 3: "numerical failure"}[code])
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["params.json"]
+
+
+# Inputs for the generated property below.  Each starts from a valid input
+# (a pinned config of each kind, a params file of each law) and gives up to
+# three keys of the CLI's key tables a value of the key's type, a boundary
+# value or a value of a wrong type: dimensions up to 64, at most 3 trials and
+# 4,000 bits; law files hold only scalars, so their integers may be large.
+_LAW_BASES = dict(_STIELTJES_LAWS, distinct=_DISTINCT_LAW)
+_KEY_VALUES = {"trials": st.integers(-1, 3), "bits_target": st.integers(-1, 4_000),
+               "seed": st.sampled_from([-1, 0, 7, 2 ** 70]),
+               "label": st.sampled_from(["run", "", ".", "..", "a/b"]),
+               "scenario": st.sampled_from(SCENARIOS + ("bogus",)),
+               "terms": st.sampled_from(["all", "signal", "interference", "bogus"]),
+               "modes": st.sampled_from(sorted(cli._SUPPORT_MODES) + ["bogus"])}
+_TYPE_VALUES = {
+    int: st.integers(-1, 64), bool: st.booleans(), str: st.sampled_from(["", "bogus"]),
+    float: st.floats(-30.0, 30.0) | st.sampled_from([
+        0.0, -1.0, 0.5, 2.0, 1e-12, 1e12, 1e-300, 1e300, 5e-324, -300.0, 300.0,
+        math.nan, math.inf])}
+_LAW_INTS = st.integers(-1, 64) | st.sampled_from([10 ** 5, 10 ** 7])
+_WRONG_TYPES = st.sampled_from([None, "x", True, 1.5, [], {}, [[1]]])
+_POINTS = st.sampled_from([0.05, 0.001, 0.0, -1.0, -0.01, 1e-300, 1e300, math.inf])
+
+
+def _value(key, t, ints=_TYPE_VALUES[int]):
+    """A value of type ``t`` (a list of 0-3 for a list type) for ``key``, or
+    one of a wrong type."""
+    t = t[0] if isinstance(t, tuple) else t
+    elem = typing.get_args(t)[:1]
+    if elem:
+        right = st.lists(_value(key, elem[0], ints), max_size=3)
+    else:
+        right = ints if t is int and key not in _KEY_VALUES else _KEY_VALUES.get(
+            key, _TYPE_VALUES[t])
+    return right | _WRONG_TYPES
+
+
+@st.composite
+def _changed(draw, base: dict, types: dict, ints=_TYPE_VALUES[int]):
+    """``base`` with up to three of the keys of ``types`` set to drawn values."""
+    out = dict(base)
+    for key in draw(st.lists(st.sampled_from(sorted(types)), max_size=3, unique=True)):
+        out[key] = draw(_value(key, types[key], ints))
+        if key in cli._POWERS:  # in place of the base's dB form
+            out.pop(f"{key}_db", None)
+    return out
+
+
+@st.composite
+def _cli_input(draw):
+    """(argv without its input file, that file's contents) for a run config
+    of any kind, or a support or stieltjes params file of any law."""
+    command = draw(st.sampled_from(["run", "support", "stieltjes"]))
+    if command == "run":
+        kind = draw(st.sampled_from(sorted(cli.KINDS)))
+        types = {k: t for k, t in {**cli._COMMON_TYPES, **cli.KINDS[kind][0]}.items()
+                 if k != "kind"}
+        return ["run"], draw(_changed(PIN_CONFIGS[kind], types))
+    role, flag = (2, "--mode") if command == "support" else (1, "--law")
+    law = draw(st.sampled_from([law for law, fns in cli._LAWS.items() if fns[role]]))
+    argv = [command, flag, law]
+    if command == "stieltjes":
+        argv += [f"--s-re={draw(_POINTS)!r}", f"--s-im={draw(_POINTS)!r}"]
+    return argv, draw(_changed(_LAW_BASES[law], cli._LAW_TYPES[law], _LAW_INTS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=_cli_input())
+def test_generated_input_ends_in_an_exit_code(case, tmp_path):
+    """Any input drawn from the key tables ends in exit 0, 2 or 3, never in an
+    exception, and a refusal or a numerical failure is one stderr line."""
+    argv, contents = case
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = work / "input.json"
+    path.write_text(json.dumps(contents))
+    argv = argv + (["--config", str(path), "--out", str(work / "out")] if argv == ["run"]
+                   else ["--params", str(path)])
+    err = io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("ignore")
+        rc = cli.main(argv)
+    event(f"{argv[0]} exit {rc}")
+    assert rc in (0, 2, 3), (argv, contents)
+    if rc:
+        assert len(err.getvalue().strip().splitlines()) == 1, (argv, contents, err.getvalue())
 
 
 def test_lone_eigenvalue_below_float_resolution_is_binned(tmp_path):
@@ -721,6 +819,27 @@ def test_lone_eigenvalue_below_float_resolution_is_binned(tmp_path):
     assert len(centers) == 60 and np.all(np.diff(centers) > 0)
     assert density.sum() * width == pytest.approx(1.0)
     assert centers[0] - width / 2 <= lam <= centers[-1] + width / 2
+
+
+def test_subnormal_eigenvalues_are_binned(tmp_path):
+    """Eigenvalues a few hundred subnormal spacings apart: numpy's histogram
+    of them, and of a range padded by float spacings alone, has bin edges out
+    of order; the run used to end in that ValueError's traceback."""
+    config = tmp_path / "config.json"
+    spectra = {k: v for k, v in PIN_CONFIGS["saturation"].items() if "power" not in k}
+    config.write_text(json.dumps(dict(spectra, signal_power=5e-324, interference_power=0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    env = json.loads((tmp_path / "out" / "saturation_result.json").read_text())
+    lam = np.concatenate(env["payload"]["saturation"]["physical"]["samples_per_trial"])
+    assert 0 < lam.max() < np.finfo(float).tiny
+    centers, density = np.loadtxt(tmp_path / "out" / "saturation_physical_hist.csv",
+                                  delimiter=",", skiprows=2).T
+    width = centers[1] - centers[0]
+    assert len(centers) == 60 and np.all(np.diff(centers) > 0)
+    assert np.isfinite(density).all() and density.sum() * width == pytest.approx(1.0)
 
 
 def test_overflowing_overlay_is_skipped_with_a_warning(tmp_path):

@@ -221,6 +221,56 @@ class TestHermitianSolver:
             assert not pilot.flags.writeable
 
 
+class TestGramProduct:
+    """Each block's Gram is one zgemm that reads Y^H in place: bitwise numpy's
+    product with the conjugated copy, and so are the eigenpairs solved on it;
+    without that routine it is numpy's product."""
+
+    # (M, N, K) of every block the presets and the benchmark build (fig7 and
+    # intro at 200-600 x 400, fig9 at 200 or 400 x N), then small, short and
+    # tall ones
+    SHAPES = [(200, 400, 5), (400, 400, 5), (600, 400, 5), (100, 400, 5),
+              (200, 30, 15), (200, 60, 15), (200, 120, 15), (400, 30, 15),
+              (400, 60, 15), (400, 120, 15), (8, 12, 2), (50, 20, 3), (100, 15, 3),
+              (30, 200, 5)]
+
+    @pytest.mark.parametrize("bundled", [True, False])
+    @pytest.mark.parametrize("m,n,k", SHAPES)
+    def test_gram_is_numpys_product(self, m, n, k, bundled, monkeypatch):
+        if not bundled:
+            monkeypatch.setattr(estimation, "_openblas_function", lambda *args: None)
+        y = _ber_block(m + n, "iid", m, n, k)
+        left = m <= n
+        want = y @ y.conj().T if left else y.conj().T @ y
+        gram = estimation.product(y, y, adjoint=1 if left else 0)
+        assert gram.shape == want.shape and gram.tobytes() == want.tobytes()
+        lo = min(m, n) - min(k + 1, m, n)
+        (w, v), (w_ref, v_ref) = (estimation._top_eigenpairs(g, lo) for g in (gram, want))
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_bundled_product_found(self):
+        assert estimation._cblas_zgemm() is not None
+
+    @pytest.mark.parametrize("adjoint", [None, 0, 1])
+    def test_other_operands_take_numpys_product(self, rng, adjoint):
+        # a real array, a column slice and an overlapping out are not handed to BLAS
+        a, b = rng.standard_normal((6, 6)), crandn(rng, 6, 8)[:, 1:7]
+        ops = [a, b]
+        if adjoint is not None:
+            ops[adjoint] = ops[adjoint].conj().T
+        assert np.array_equal(estimation.product(a, b, adjoint), ops[0] @ ops[1])
+        out = crandn(rng, 6, 6)
+        want = out + out @ out
+        assert estimation.product(out, out.copy(), out=out) is out
+        assert np.array_equal(out, want)
+
+    def test_subspace_holds_no_copy_of_the_block(self, traced_peak):
+        y = crandn(np.random.default_rng(3), 200, 400)
+        peak = traced_peak(lambda: signal_subspace(y, 5))
+        # numpy's y @ y.conj().T held a conjugated copy of y: 1.50 y.nbytes
+        assert peak < 1.25 * y.nbytes
+
+
 class TestOpenblasBinding:
     """``estimation`` is the one module that binds numpy's bundled OpenBLAS;
     without that library the thread cap and the solve fall back."""

@@ -182,6 +182,68 @@ class TestHermitianProductSolve:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+class TestDrawBlock:
+    """The received block is the noise array with the product added into it
+    in place: bitwise the product plus the noise, drawn in the same order."""
+
+    # (scenario, M, N, K, L) of every block the presets and the benchmark
+    # build (fig7 200-600 x 400, intro 100 x 400 with two cells, fig9 200 or
+    # 400 x N), then small, short and tall ones
+    SHAPES = [("identical_aoas", 200, 400, 5, 4), ("identical_aoas", 400, 400, 5, 4),
+              ("identical_aoas", 600, 400, 5, 4), ("identical_aoas", 100, 400, 5, 2),
+              ("iid", 200, 30, 15, 4), ("iid", 200, 60, 15, 4), ("iid", 200, 120, 15, 4),
+              ("iid", 400, 30, 15, 4), ("iid", 400, 60, 15, 4), ("iid", 400, 120, 15, 4),
+              ("iid", 8, 12, 2, 2), ("iid", 50, 20, 3, 4), ("iid", 100, 15, 3, 4),
+              ("identical_aoas", 30, 200, 5, 4)]
+
+    @staticmethod
+    def _draw(scenario, m, n, k, l, cols=slice(None)):
+        """draw_block's (Y, X[cols]) and the same block formed as the
+        product plus the noise, from an identically seeded generator."""
+        p = _params(scenario=scenario, num_antennas=m, block_length=n, users_per_cell=k,
+                    num_cells=l, aoa_counts=() if scenario == "iid" else (25,),
+                    noise_enabled=True)
+        amp = np.sqrt(np.random.default_rng(1).uniform(0.1, 2.0, k * l))[cols]
+
+        def symbols(rng):
+            return sim.crandn(rng, k * l, n)
+
+        got = sim.draw_block(p, np.random.default_rng(7), symbols, amp, cols)
+        rng = np.random.default_rng(7)
+        h, x = sim.realize_channel(p, rng).composite, symbols(rng)
+        w = sim.crandn(rng, m, n)
+        return got, (h[:, cols] @ (amp[:, None] * x[cols]) + w, x[cols])
+
+    @pytest.mark.parametrize("bundled", [True, False])
+    @pytest.mark.parametrize("scenario,m,n,k,l", SHAPES)
+    def test_equals_product_plus_noise(self, scenario, m, n, k, l, bundled, monkeypatch):
+        if not bundled:
+            monkeypatch.setattr(estimation, "_openblas_function", lambda *args: None)
+        (y, x), (y_ref, x_ref) = self._draw(scenario, m, n, k, l)
+        assert y.shape == (m, n) and y.tobytes() == y_ref.tobytes()
+        assert x.tobytes() == x_ref.tobytes()
+
+    @pytest.mark.parametrize("cols", [slice(0, 5), slice(5, 20)])
+    def test_kept_users_equal_product_plus_noise(self, cols):
+        (y, x), (y_ref, x_ref) = self._draw("identical_aoas", 200, 400, 5, 4, cols)
+        assert y.tobytes() == y_ref.tobytes() and x.tobytes() == x_ref.tobytes()
+
+    def test_holds_one_block_beside_the_received_one(self, traced_peak):
+        # the benchmark's fig7 block: 200 x 400, K = 5, L = 4, P = 100, -5 dB SNR
+        p = _params(num_antennas=200, block_length=400, spacing_ratio=0.5,
+                    noise_enabled=True, signal_power=1.0, interference_power=1.0)
+        layout = estimation.PilotLayout(num_users=5, block_length=400)
+        p_s = sim.db_to_linear(-5.0)
+        amp = np.sqrt(sim.worst_case_power_diagonal(5, 4, p_s, sim.db_to_linear(-6.0) * p_s))
+
+        def symbols(rng):
+            return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(4)])
+
+        peak = traced_peak(lambda: sim.draw_block(p, sim.trial_rng(1234, (0, 0)), symbols, amp))
+        # forming the product beside the noise and adding them held 2.28 blocks
+        assert peak < 2.0 * 200 * 400 * np.dtype(complex).itemsize
+
+
 class TestBartlettFactor:
     """L L^H from ``sim.bartlett_factor`` against the moments of X X^H for a
     size x dof CN(0,1) matrix X, a complex Wishart CW_size(dof, I)."""
