@@ -114,19 +114,13 @@ def product(a: np.ndarray, b: np.ndarray, adjoint: int | None = None,
             out is None or out.shape == (m, n) and not np.may_share_memory(out, a)
             and not np.may_share_memory(out, b))
     if not blas:
-        ops = [a, b]
-        if adjoint is not None:
-            ops[adjoint] = ops[adjoint].conj().T
+        lhs, rhs = (x.conj().T if adjoint == i else x for i, x in enumerate((a, b)))
         if out is None:
-            return ops[0] @ ops[1]
-        out += ops[0] @ ops[1]
+            return lhs @ rhs
+        out += lhs @ rhs
         return out
-    trans = [_CBLAS_NO_TRANS, _CBLAS_NO_TRANS]
-    if adjoint is not None:
-        trans[adjoint] = _CBLAS_CONJ_TRANS
-    beta = _ZERO if out is None else _ONE
-    if out is None:
-        out = np.empty((m, n), dtype=np.complex128)
+    trans = [_CBLAS_CONJ_TRANS if adjoint == i else _CBLAS_NO_TRANS for i in (0, 1)]
+    beta, out = (_ZERO, np.empty((m, n), dtype=np.complex128)) if out is None else (_ONE, out)
     zgemm(_CBLAS_ROW_MAJOR, trans[0], trans[1], m, n, k, _ONE, a.ctypes.data, a.shape[1],
           b.ctypes.data, b.shape[1], beta, out.ctypes.data, n)
     return out

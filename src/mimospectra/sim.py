@@ -134,7 +134,7 @@ def draw_block(params: SystemParams, rng: np.random.Generator, draw_symbols,
 
     The product is added into the noise array (``estimation.product``), so Y
     is that array and no second M x N array is held; bitwise the same as
-    forming the product and adding W.  ``cols`` keeps a slice of the users
+    forming the product and adding W.  Without noise Y is the product alone.  ``cols`` keeps a slice of the users
     (the eigen term selector) and ``amp`` holds the kept users' amplitudes,
     the square roots of their powers; the block reads no power from ``params``.
     """

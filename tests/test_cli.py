@@ -742,8 +742,7 @@ def _value(key, t, ints=_TYPE_VALUES[int]):
     if elem:
         right = st.lists(_value(key, elem[0], ints), max_size=3)
     else:
-        right = ints if t is int and key not in _KEY_VALUES else _KEY_VALUES.get(
-            key, _TYPE_VALUES[t])
+        right = _KEY_VALUES.get(key, ints if t is int else _TYPE_VALUES[t])
     return right | _WRONG_TYPES
 
 
