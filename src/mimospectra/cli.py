@@ -393,16 +393,15 @@ def _eigen_csv(eigen: dict, envelope: dict) -> str:
     pooled = np.concatenate([np.asarray(t) for t in eigen["samples_per_trial"]])
     if pooled.size == 0:
         raise ConfigError("no data: eigen payload holds no samples")
-    try:
-        density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True)
-    except ValueError:
-        # numpy refuses a range narrower than _EIGEN_BINS float spacings of the
-        # data (a lone eigenvalue near 1e15, say): pad it by twice that each
-        # side, and by at least as many of the smallest normal floats, since
-        # bins a few subnormal spacings wide come out of order
-        pad = 2 * _EIGEN_BINS * max(np.spacing(pooled.max()), np.finfo(float).tiny)
-        density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True,
-                                      range=(pooled.min() - pad, pooled.max() + pad))
+    # the data's own range, widened about its middle where a bin would be
+    # under 4 float spacings of the data (a lone eigenvalue near 1e15, say,
+    # whose bins numpy cannot split) or under pooled.size smallest normal
+    # floats (subnormal bins come out of order, and count / width overflows)
+    lo, hi = pooled.min(), pooled.max()
+    floor = _EIGEN_BINS * max(4 * np.spacing(max(-lo, hi)), pooled.size * np.finfo(float).tiny)
+    pad = max(floor - (hi - lo), 0.0) / 2
+    density, edges = np.histogram(pooled, bins=_EIGEN_BINS, density=True,
+                                  range=(lo - pad, hi + pad))
     centers = 0.5 * (edges[:-1] + edges[1:])
     supports = [(sname, iv) for sname, ivs in eigen.get("supports", {}).items()
                 if ivs for iv in ivs]

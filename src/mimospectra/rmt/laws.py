@@ -6,11 +6,13 @@ written once, as a table T[i, j] of the coefficients of s^i G^j in its
 defining relation F(s, G) = 0; the evaluator, the residual and (in
 ``support``) the inverse-function polynomial are derived from that table,
 and one helper, ``coeffs_at``, evaluates a table at a stack of points for
-all of them.  Evaluation is polynomial root finding plus continuation: the
-physical branch is anchored at G = -1/s for Im s = 1e6 and tracked by
-nearest-root matching along a vertical path down to the requested point.
-A scalar s is a one-point array, and every point is checked before any
-solve.
+all of them.  Evaluation is polynomial root finding plus continuation, one
+walk over the requested points with the roots along all of it from one
+stacked solve: a point is a step from the previous one when near it, else a
+vertical descent from Im s = 1e6, where the physical branch is G = -1/s.  A
+step takes the nearest root when it is over 3 times nearer than the next, and
+is halved otherwise.  A scalar s is a one-point array, and every point is
+checked before any solve.
 
 Laws implemented:
 
@@ -217,9 +219,9 @@ def _roots_at(table: np.ndarray, points) -> np.ndarray:
 
 def _track_to(table: np.ndarray, s_from: complex, g_from: complex, s_to: complex,
               depth: int = 0, roots: np.ndarray | None = None) -> complex:
-    """Continue the tracked root from (s_from, g_from) to s_to, refining the
-    step whenever the nearest-root choice is ambiguous.  ``roots`` are the
-    roots at s_to when the caller already has them."""
+    """Continue the tracked root from (s_from, g_from) to s_to: take the
+    nearest root if it is over 3 times nearer than the next, else halve the
+    step.  ``roots`` are the roots at s_to when the caller has them."""
     if roots is None:
         roots = _roots_at(table, [s_to])[0]
     roots = roots[~np.isnan(roots)]
@@ -228,35 +230,16 @@ def _track_to(table: np.ndarray, s_from: complex, g_from: complex, s_to: complex
                                   "coefficients of G^1 and above are all below 1e-300")
     d = np.abs(roots - g_from)
     order = np.argsort(d)
-    g = roots[order[0]]
     margin = d[order[1]] / max(d[order[0]], 1e-300) if len(order) > 1 else np.inf
-    if margin > 3.0 or abs(g - g_from) < 0.25 * (1.0 + abs(g_from)):
-        return g
+    if margin > 3.0:
+        return roots[order[0]]
     if depth >= 24:
         raise BranchTrackingError(
             f"ambiguous branch near s={s_to:.6g} (margin {margin:.3f}); "
             f"candidate roots: {', '.join(f'{r:.6g}' for r in roots)}")
     mid = 0.5 * (s_from + s_to)
     g_mid = _track_to(table, s_from, g_from, mid, depth + 1)
-    return _track_to(table, mid, g_mid, s_to, depth + 1)
-
-
-def _trace_from_anchor(table: np.ndarray, s: complex) -> complex:
-    """Anchor at Im = 1e6 (where G = -1/s) and descend vertically to s; the
-    roots along the whole path come from one stacked solve."""
-    top = max(ANCHOR_IM, 2.0 * s.imag)
-    n_dec = max(1.0, math.log10(top / s.imag))
-    n_steps = max(48, int(_STEPS_PER_DECADE * n_dec))
-    path = s.real + 1j * np.geomspace(top, s.imag, n_steps)
-    g = -1.0 / path[0]
-    s_prev = path[0]
-    for sk, roots in zip(path, _roots_at(table, path)):
-        g = _track_to(table, s_prev, g, complex(sk), roots=roots)
-        s_prev = complex(sk)
-    if g.imag < -1e-10:
-        raise BranchTrackingError(
-            f"tracked root lost Herglotz property at s={s:.6g}: G={g:.6g}")
-    return g
+    return _track_to(table, mid, g_mid, s_to, depth + 1, roots)
 
 
 def _finite(s) -> np.ndarray:
@@ -268,14 +251,22 @@ def _finite(s) -> np.ndarray:
     return s_arr
 
 
+def _descent(s: complex) -> np.ndarray:
+    """The vertical path down to s from Im = max(ANCHOR_IM, 2 Im s)."""
+    top = max(ANCHOR_IM, 2.0 * s.imag)
+    n_steps = max(48, int(_STEPS_PER_DECADE * max(1.0, math.log10(top / s.imag))))
+    return s.real + 1j * np.geomspace(top, s.imag, n_steps)
+
+
 def _eval_implicit(table: np.ndarray, s):
     """Evaluate a polynomial-implicit law at scalar or array s.
 
     A scalar is a one-point array.  Every point must be finite with Im s > 0;
-    that is checked before any solve.  Points are evaluated in order: a point
-    near the previous one warm-starts from it, with its roots from one stacked
-    solve over all such points; any other takes the anchor descent, which is
-    also the fallback when warm tracking is ambiguous or loses Im G > 0.
+    that is checked before any solve.  The points are one walk, its roots
+    from one stacked solve: a point near the previous one is a step from it,
+    any other a vertical descent from G = -1/s at its top.  A step that is
+    ambiguous or ends with Im G < 0 (across the zero atom, say) restarts from
+    the anchor; a descent that ends so fails.
     """
     s_arr = _finite(s)
     if np.any(s_arr.imag <= 0):
@@ -283,21 +274,28 @@ def _eval_implicit(table: np.ndarray, s):
     flat = s_arr.ravel()
     near = np.zeros(flat.shape, dtype=bool)
     near[1:] = np.abs(flat[1:] - flat[:-1]) <= 0.5 * (1.0 + np.abs(flat[:-1]))
-    warm_roots = iter(_roots_at(table, flat[near]) if near.any() else ())
+    legs = [flat[i:i + 1] if near[i] else _descent(complex(sc)) for i, sc in enumerate(flat)]
+    roots = iter(_roots_at(table, np.concatenate(legs)))
     out = np.empty(flat.shape, dtype=complex)
-    g_prev = s_prev = None
-    for i, sc in enumerate(flat):
-        sc = complex(sc)
-        g = None
+    g = s_prev = None
+    for i, leg in enumerate(legs):
+        sc = complex(flat[i])
         if near[i]:
             try:
-                g = _track_to(table, s_prev, g_prev, sc, roots=next(warm_roots))
+                g = _track_to(table, s_prev, g, sc, roots=next(roots))
             except BranchTrackingError:
-                pass
-        if g is None or g.imag < -1e-10:
-            g = _trace_from_anchor(table, sc)
-        out[i] = g
-        g_prev, s_prev = g, sc
+                g = None
+            if g is None or g.imag < -1e-10:
+                g = _eval_implicit(table, sc)
+        else:
+            g, s_prev = -1.0 / leg[0], leg[0]
+            for sk in leg:
+                g = _track_to(table, s_prev, g, complex(sk), roots=next(roots))
+                s_prev = complex(sk)
+            if g.imag < -1e-10:
+                raise BranchTrackingError(
+                    f"tracked root lost Herglotz property at s={sc:.6g}: G={g:.6g}")
+        out[i], s_prev = g, sc
     return out.reshape(s_arr.shape) if s_arr.ndim else out[0]
 
 

@@ -841,6 +841,25 @@ def test_subnormal_eigenvalues_are_binned(tmp_path):
     assert np.isfinite(density).all() and density.sum() * width == pytest.approx(1.0)
 
 
+def test_subnormal_bins_hold_finite_densities(tmp_path):
+    """Two eigenvalues near 1e-320, binned over their own range, make bins a
+    subnormal width wide, and count / width overflowed: the CSV's first row
+    read ``8.854e-321,inf``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "kind": "eigen", "scenario": "iid", "num_antennas": 1, "users_per_cell": 1,
+        "num_cells": 1, "block_length": 1, "signal_power": 1e-320, "trials": 2}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    centers, density = np.loadtxt(tmp_path / "out" / "eigen_eigen_hist.csv",
+                                  delimiter=",", skiprows=2).T
+    width = centers[1] - centers[0]
+    assert len(density) == 60 and np.isfinite(density).all()
+    assert density.sum() * width == pytest.approx(1.0)
+
+
 def test_overflowing_overlay_is_skipped_with_a_warning(tmp_path):
     """An eigen run whose joint law table overflows keeps its samples and
     drops that overlay with a warning, as any overlay that cannot be built."""
