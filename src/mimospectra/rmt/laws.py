@@ -8,11 +8,13 @@ defining relation F(s, G) = 0; the evaluator, the residual and (in
 and one helper, ``coeffs_at``, evaluates a table at a stack of points for
 all of them.  Evaluation is polynomial root finding plus continuation, one
 walk over the requested points with the roots along all of it from one
-stacked solve: a point is a step from the previous one when near it, else a
-vertical descent from Im s = 1e6, where the physical branch is G = -1/s.  A
-step takes the nearest root when it is over 3 times nearer than the next, and
-is halved otherwise.  A scalar s is a one-point array, and every point is
-checked before any solve.
+stacked solve: a point is a step from the previous one when the two are
+nearer each other than half of either's |s|, so no step comes near the zero
+atom's pole at s = 0, else a vertical descent from Im s = 1e6, where the
+physical branch is G = -1/s.  A step takes the nearest root when it is over 3
+times nearer than the next, and is halved otherwise; a step or descent that
+ends with Im G < 0 raises BranchTrackingError naming its point.  A scalar s
+is a one-point array, and every point is checked before any solve.
 
 Laws implemented:
 
@@ -261,41 +263,34 @@ def _descent(s: complex) -> np.ndarray:
 def _eval_implicit(table: np.ndarray, s):
     """Evaluate a polynomial-implicit law at scalar or array s.
 
-    A scalar is a one-point array.  Every point must be finite with Im s > 0;
-    that is checked before any solve.  The points are one walk, its roots
-    from one stacked solve: a point near the previous one is a step from it,
-    any other a vertical descent from G = -1/s at its top.  A step that is
-    ambiguous or ends with Im G < 0 (across the zero atom, say) restarts from
-    the anchor; a descent that ends so fails.
+    A scalar is a one-point array, and an empty array gives an empty one.
+    Every point must be finite with Im s > 0; that is checked before any
+    solve.  The points are one walk, its roots from one stacked solve: a
+    point is a step from the previous one when |ds| <= min(|s_prev|, |s|) / 2,
+    so no step comes near the zero atom's pole at s = 0, and any other point
+    is a vertical descent from G = -1/s at its top.  A step or descent that
+    ends with Im G < 0 fails, naming its point.
     """
     s_arr = _finite(s)
     if np.any(s_arr.imag <= 0):
         raise ConfigError("law evaluation requires Im s > 0")
     flat = s_arr.ravel()
     near = np.zeros(flat.shape, dtype=bool)
-    near[1:] = np.abs(flat[1:] - flat[:-1]) <= 0.5 * (1.0 + np.abs(flat[:-1]))
+    near[1:] = np.abs(np.diff(flat)) <= 0.5 * np.minimum(np.abs(flat[1:]), np.abs(flat[:-1]))
     legs = [flat[i:i + 1] if near[i] else _descent(complex(sc)) for i, sc in enumerate(flat)]
-    roots = iter(_roots_at(table, np.concatenate(legs)))
+    roots = iter(_roots_at(table, np.concatenate([flat[:0], *legs])))
     out = np.empty(flat.shape, dtype=complex)
     g = s_prev = None
     for i, leg in enumerate(legs):
-        sc = complex(flat[i])
-        if near[i]:
-            try:
-                g = _track_to(table, s_prev, g, sc, roots=next(roots))
-            except BranchTrackingError:
-                g = None
-            if g is None or g.imag < -1e-10:
-                g = _eval_implicit(table, sc)
-        else:
+        if not near[i]:
             g, s_prev = -1.0 / leg[0], leg[0]
-            for sk in leg:
-                g = _track_to(table, s_prev, g, complex(sk), roots=next(roots))
-                s_prev = complex(sk)
-            if g.imag < -1e-10:
-                raise BranchTrackingError(
-                    f"tracked root lost Herglotz property at s={sc:.6g}: G={g:.6g}")
-        out[i], s_prev = g, sc
+        for sk in leg:
+            g = _track_to(table, s_prev, g, complex(sk), roots=next(roots))
+            s_prev = complex(sk)
+        if g.imag < -1e-10:
+            raise BranchTrackingError(
+                f"tracked root lost Herglotz property at s={flat[i]:.6g}: G={g:.6g}")
+        out[i] = g
     return out.reshape(s_arr.shape) if s_arr.ndim else out[0]
 
 
@@ -469,8 +464,11 @@ def double_sided_residual(s: complex, g: complex, params: DoubleSidedParams) -> 
 def density_from_stieltjes(evaluator, x_grid, eps: float = 1e-3) -> np.ndarray:
     """Sampled density f(x) ~ Im evaluator(x + i*eps) / pi, clipped at zero.
 
-    ``evaluator`` maps a complex array (or scalar) to G values; failures are
-    re-raised with the offending grid location attached.
+    ``evaluator`` maps a complex array (or scalar) to G values.  When the
+    array call fails, each point is evaluated on its own, which also recovers
+    an implicit law's walk that left the physical root and raised (each point
+    then has its own descent); a point that fails on its own is re-raised with
+    its grid location attached.
     """
     if eps <= 0:
         raise ConfigError("eps must be positive")
