@@ -186,11 +186,11 @@ def parse_config(raw: dict) -> dict:
            for k, v in _checked(raw, {**_COMMON_TYPES, **KINDS[kind][0]}, "config").items()}
     if cfg["seed"] < 0:
         raise ConfigError(f"config.seed={cfg['seed']!r}; expected a non-negative integer")
-    cfg.setdefault("label", kind)
+    label = cfg.setdefault("label", kind)
     # the label names the output files inside --out
-    if cfg["label"] in ("", ".", "..") or any(c in (os.sep, os.altsep) for c in cfg["label"]):
-        raise ConfigError(f"config.label={cfg['label']!r}; expected a file name other "
-                          "than '', '.' and '..', without a path separator")
+    if label in ("", ".", "..") or any(c in (os.sep, os.altsep, "\0") for c in label):
+        raise ConfigError(f"config.label={label!r}; expected a file name other "
+                          "than '', '.' and '..', without a path separator or NUL")
     if "snr_db" in cfg:  # the BER kinds: p_signal = 10^(SNR/10) against unit noise
         cfg["signal_power"] = cfg["interference_power"] = _linear(cfg["snr_db"],
                                                                   "config.snr_db")

@@ -7,16 +7,16 @@ the remaining K x K ambiguity, then matched-filter QPSK detection on the
 projected data.  The baseline applies the same fit to the raw block, which
 estimates the full antenna-domain channel, and matched-filters in antenna space.
 
-Nothing here loads scipy: the pilot is the DFT matrix built with scipy's
-own expression, and the top eigenpairs of the Gram come from
-``LAPACKE_zheevr`` (MRRR; Dhillon, Parlett & Vomel, ACM TOMS 2006) of the
-OpenBLAS that numpy already loads, called through ctypes with the arguments
-``scipy.linalg.eigh(subset_by_index=...)`` passes to the same routine, so
-the results are the same to the bit.  Using numpy's build keeps scipy's
-own OpenBLAS, a second copy of the library, out of memory.  Only where
-numpy's build does not export that routine does the solve import
-``scipy.linalg.eigh``.  Only this module binds that library, each symbol
-through ``_openblas_function``: the eigensolve, ``one_blas_thread`` and
+Nothing here loads scipy, and numpy is the one runtime dependency: the
+pilot is the DFT matrix built with scipy's own expression, and the top
+eigenpairs of the Gram come from ``LAPACKE_zheevr`` (MRRR; Dhillon, Parlett
+& Vomel, ACM TOMS 2006) of the OpenBLAS that numpy already loads, called
+through ctypes with the arguments ``scipy.linalg.eigh(subset_by_index=...)``
+passes to the same routine, so the results are the same to the bit and
+scipy's own OpenBLAS stays out of memory.  Where numpy's build does not
+export that routine, the solve takes the top pairs of ``np.linalg.eigh``.
+Only this module binds that library, each symbol through
+``_openblas_function``: the eigensolve, ``one_blas_thread`` and
 ``cblas_zgemm`` for ``product``, the block-sized products (each block's Gram
 and ``sim.draw_block``'s received block) that numpy's matmul would form with
 a conjugated copy or a temporary beside the noise.
@@ -147,19 +147,19 @@ def one_blas_thread():
 
 def _top_eigenpairs(gram: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs lo..r-1 (ascending) of the r x r Hermitian ``gram``, from
-    its lower triangle: what ``scipy.linalg.eigh(gram,
-    subset_by_index=[lo, r-1])`` returns, with its finite check."""
+    its lower triangle, as ``scipy.linalg.eigh(gram, subset_by_index=[lo,
+    r-1])`` returns them, with its finite check; without the bundled routine,
+    the same pairs of ``np.linalg.eigh(gram)``: the same subspace, not bits."""
     if not np.isfinite(gram).all():
         raise NumericalError("the received block's Gram matrix is not finite")
     r = gram.shape[0]
     zheevr = _lapacke_zheevr()
     if zheevr is None:
-        from scipy.linalg import eigh
-
         try:
-            return eigh(gram, subset_by_index=[lo, r - 1])
+            w, v = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
+        return w[lo:], v[:, lo:]
     a = np.array(gram, dtype=np.complex128, order="F")
     w = np.empty(r)
     v = np.empty((r, r - lo), dtype=np.complex128, order="F")

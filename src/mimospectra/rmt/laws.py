@@ -476,12 +476,12 @@ def density_from_stieltjes(evaluator, x_grid, eps: float = 1e-3) -> np.ndarray:
     s = x_grid + 1j * eps
     try:
         g = evaluator(s)
-    except Exception as exc:  # fall back to per-point evaluation to locate it
+    except Exception:  # fall back to per-point evaluation to locate it
         g = np.empty(x_grid.shape, dtype=complex)
         for i, sc in enumerate(np.atleast_1d(s)):
             try:
                 g_val = evaluator(complex(sc))
-            except Exception:
+            except Exception as exc:
                 raise type(exc)(
                     f"density evaluation failed at x={complex(sc).real:.6g}: {exc}"
                 ) from exc

@@ -604,6 +604,9 @@ BAD_INPUTS = {
     "set-label-empty": ("label", ["--set", 'label=""'], PIN_CONFIGS["eigen"]),
     "set-label-dot": ("label", ["--set", "label=."], PIN_CONFIGS["eigen"]),
     "set-label-dotdot": ("label", ["--set", "label=.."], PIN_CONFIGS["eigen"]),
+    # a NUL ended in "embedded null byte" from write_text, after --out was made
+    "set-label-nul": ("label", ["--set", 'label="a\\u0000b"'], PIN_CONFIGS["eigen"]),
+    "config-label-nul": ("label", [], dict(PIN_CONFIGS["eigen"], label="a\0b")),
     # the one-sided and joint laws read the first AoA count: on the i.d.
     # channel without counts, the fig1 and fig2 modes ended in an IndexError
     "set-onesided-iid-no-aoas": ("scenario", ["--set", "scenario=iid", "--set", "aoa_counts=[]"],
@@ -962,6 +965,39 @@ def test_import_leaves_scipy_linalg_unloaded(tmp_path):
                 if line.startswith("mapped")] == ["mapped []"]
     for kind in ("support_plot", "ber"):
         assert (tmp_path / f"{kind}.json.out" / f"{kind}_result.json").exists()
+
+
+def test_numpy_alone_gives_the_pinned_payloads(tmp_path):
+    """A numpy without its bundled OpenBLAS and an install without scipy:
+    every kind runs on numpy's own products and ``np.linalg.eigh``, and its
+    payload matches payload_pins.json under the pins' tolerances."""
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps(PIN_CONFIGS))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys\n"
+            "from pathlib import Path\n"
+            "sys.modules['scipy'] = None\n"
+            "from mimospectra import cli, estimation\n"
+            "estimation.bundled_openblas = lambda: None\n"
+            "assert estimation._lapacke_zheevr() is None and estimation._cblas_zgemm() is None\n"
+            "payloads = {}\n"
+            "for kind, raw in json.loads(Path(sys.argv[1]).read_text()).items():\n"
+            "    cfg = cli.parse_config(dict(raw, label=kind))\n"
+            "    env = cli.run_preset(cfg, Path(sys.argv[2]) / kind)\n"
+            "    payloads[kind] = json.loads(env.read_text())['payload']\n"
+            "loaded = [m for m, mod in sys.modules.items()\n"
+            "          if m.split('.')[0] == 'scipy' and mod is not None]\n"
+            "print(json.dumps({'loaded': loaded, 'payloads': payloads}))")
+    proc = subprocess.run([sys.executable, "-c", code, str(configs), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    assert set(result["payloads"]) == set(PIN_CONFIGS)
+    for kind, payload in result["payloads"].items():
+        _assert_payload_matches(payload, PAYLOAD_PINS[kind], (kind,))
 
 
 def test_failed_eigensolve_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

@@ -690,6 +690,24 @@ class TestErrorContracts:
         with pytest.raises(ValueError, match="x=0.6"):
             rmt.density_from_stieltjes(evaluator, [0.1, 0.6], eps=1e-3)
 
+    def test_density_failure_reports_the_points_own_error(self):
+        # the array call and the point at x = 0.55 fail for different
+        # reasons: the point's type and message are raised, not the array's
+        from mimospectra.errors import BranchTrackingError
+
+        def evaluator(s):
+            if np.ndim(s):
+                raise BranchTrackingError("tracked root lost Herglotz property at s=0.0493678")
+            if s.real == 0.55:
+                raise ConfigError("synthetic point failure")
+            return 1j
+
+        with pytest.raises(ConfigError) as info:
+            rmt.density_from_stieltjes(evaluator, [0.1, 0.55, 0.6], eps=1e-3)
+        assert type(info.value) is ConfigError
+        assert str(info.value) == ("density evaluation failed at x=0.55: "
+                                   "synthetic point failure")
+
 
 def test_every_export_has_a_caller_in_the_program():
     """Each name in rmt.__all__ appears as a whole word in some program file
