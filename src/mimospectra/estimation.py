@@ -13,19 +13,22 @@ eigenpairs of the Gram come from ``LAPACKE_zheevr`` (MRRR; Dhillon, Parlett
 & Vomel, ACM TOMS 2006) of the OpenBLAS that numpy already loads, called
 through ctypes with the arguments ``scipy.linalg.eigh(subset_by_index=...)``
 passes to the same routine, so the results are the same to the bit and
-scipy's own OpenBLAS stays out of memory.  Where numpy's build does not
-export that routine, the solve takes the top pairs of ``np.linalg.eigh``.
-Only this module binds that library, each symbol through
-``_openblas_function``: the eigensolve, ``one_blas_thread`` and
-``cblas_zgemm`` for ``product``, the block-sized products (each block's Gram
-and ``sim.draw_block``'s received block) that numpy's matmul would form with
-a conjugated copy or a temporary beside the noise.
+scipy's own OpenBLAS stays out of memory.  Only this module binds that
+library: ``bundled_openblas`` types the four symbols of ``_SYMBOLS`` as one
+unit, or gives None when numpy's build lacks the library or any of them.
+Its three callers check that once each: the eigensolve (else the top pairs
+of ``np.linalg.eigh``), ``one_blas_thread`` (else the body runs as it is)
+and ``product`` (else numpy's matmul), whose ``cblas_zgemm`` forms the
+block-sized products (each block's Gram and ``sim.draw_block``'s received
+block) that numpy's matmul would form with a conjugated copy or a temporary
+beside the noise.
 """
 
 from __future__ import annotations
 
 import ctypes
 import warnings
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -43,49 +46,38 @@ GRAM_RTOL = 1e-3
 _LAPACK_COL_MAJOR = 102
 _CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_CONJ_TRANS = 101, 111, 113
 _ONE, _ZERO = (ctypes.c_double * 2)(1.0, 0.0), (ctypes.c_double * 2)(0.0, 0.0)
+# name: (restype, *argtypes) of each symbol this module calls in numpy's
+# bundled OpenBLAS, whose interface takes 64-bit integers
+_I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+_SYMBOLS = {
+    "scipy_LAPACKE_zheevr64_": (_I64, ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                                ctypes.c_char, _I64, _PTR, _I64, _F64, _F64, _I64, _I64,
+                                _F64, ctypes.POINTER(_I64), _PTR, _PTR, _I64, _PTR),
+    "scipy_cblas_zgemm64_": (None, ctypes.c_int, ctypes.c_int, ctypes.c_int, _I64, _I64,
+                             _I64, _PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64),
+    "scipy_openblas_get_num_threads64_": (ctypes.c_int,),
+    "scipy_openblas_set_num_threads64_": (None, ctypes.c_int),
+}
+_OpenBLAS = namedtuple("OpenBLAS", _SYMBOLS)
 
 
 @cache
-def bundled_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS build bundled with numpy (``numpy.libs``, 64-bit
-    interface), opened with ctypes; None when it is not found, e.g. for a
-    numpy linked against another BLAS."""
+def bundled_openblas() -> _OpenBLAS | None:
+    """The ``_SYMBOLS`` of the OpenBLAS build bundled with numpy
+    (``numpy.libs``), opened with ctypes and typed; None when that library
+    or any one of them is not found, e.g. for a numpy linked against
+    another BLAS."""
     site = Path(np.__file__).resolve().parents[1]
     for path in sorted(site.glob("numpy.libs/libscipy_openblas*.so")):
         try:
-            return ctypes.CDLL(str(path))
-        except OSError:
+            lib = ctypes.CDLL(str(path))
+            functions = _OpenBLAS(*(getattr(lib, name) for name in _SYMBOLS))
+        except (OSError, AttributeError):
             continue
+        for fn, (restype, *argtypes) in zip(functions, _SYMBOLS.values()):
+            fn.restype, fn.argtypes = restype, argtypes
+        return functions
     return None
-
-
-@cache
-def _openblas_function(name: str, restype, *argtypes):
-    """Symbol ``name`` of ``bundled_openblas()`` with its ctypes signature
-    set, or None when the library or the symbol is missing."""
-    fn = getattr(bundled_openblas(), name, None)
-    if fn is not None:
-        fn.argtypes, fn.restype = argtypes, restype
-    return fn
-
-
-def _lapacke_zheevr():
-    """``LAPACKE_zheevr`` of numpy's bundled ILP64 OpenBLAS (64-bit integer
-    arguments), or None."""
-    c, i64 = ctypes, ctypes.c_int64
-    return _openblas_function("scipy_LAPACKE_zheevr64_", i64, c.c_int, c.c_char,
-                              c.c_char, c.c_char, i64, c.c_void_p, i64, c.c_double,
-                              c.c_double, i64, i64, c.c_double, c.POINTER(i64),
-                              c.c_void_p, c.c_void_p, i64, c.c_void_p)
-
-
-def _cblas_zgemm():
-    """``cblas_zgemm`` of numpy's bundled ILP64 OpenBLAS, the routine numpy's
-    complex matmul calls, or None."""
-    c, i64 = ctypes, ctypes.c_int64
-    return _openblas_function("scipy_cblas_zgemm64_", None, c.c_int, c.c_int, c.c_int,
-                              i64, i64, i64, c.c_void_p, c.c_void_p, i64, c.c_void_p, i64,
-                              c.c_void_p, c.c_void_p, i64)
 
 
 def product(a: np.ndarray, b: np.ndarray, adjoint: int | None = None,
@@ -100,13 +92,13 @@ def product(a: np.ndarray, b: np.ndarray, adjoint: int | None = None,
     and adds into ``out`` (beta = 1) in place of a product-sized temporary.
     Operands that are not C-contiguous complex128, an ``out`` that overlaps
     them, a product with a dimension of 1 (where numpy calls another
-    routine) or a numpy without ``cblas_zgemm`` take the numpy expression.
+    routine) or a numpy without its bundled OpenBLAS take the numpy expression.
     """
-    zgemm = _cblas_zgemm()
+    openblas = bundled_openblas()
     arrays = (a, b) if out is None else (a, b, out)
-    blas = zgemm is not None and all(x.dtype == np.complex128 and x.ndim == 2
-                                     and x.flags.c_contiguous and x.flags.aligned
-                                     for x in arrays)
+    blas = openblas is not None and all(x.dtype == np.complex128 and x.ndim == 2
+                                        and x.flags.c_contiguous and x.flags.aligned
+                                        for x in arrays)
     if blas:
         (m, k), (kb, n) = (x.shape[::-1] if adjoint == i else x.shape
                            for i, x in enumerate((a, b)))
@@ -121,8 +113,9 @@ def product(a: np.ndarray, b: np.ndarray, adjoint: int | None = None,
         return out
     trans = [_CBLAS_CONJ_TRANS if adjoint == i else _CBLAS_NO_TRANS for i in (0, 1)]
     beta, out = (_ZERO, np.empty((m, n), dtype=np.complex128)) if out is None else (_ONE, out)
-    zgemm(_CBLAS_ROW_MAJOR, trans[0], trans[1], m, n, k, _ONE, a.ctypes.data, a.shape[1],
-          b.ctypes.data, b.shape[1], beta, out.ctypes.data, n)
+    openblas.scipy_cblas_zgemm64_(_CBLAS_ROW_MAJOR, trans[0], trans[1], m, n, k, _ONE,
+                                  a.ctypes.data, a.shape[1], b.ctypes.data, b.shape[1],
+                                  beta, out.ctypes.data, n)
     return out
 
 
@@ -132,29 +125,28 @@ def one_blas_thread():
     the previous count; without that library, run it as it is.
 
     The count is global to the library, so it holds in every thread."""
-    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
-    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
-    if get is None or set_ is None:
+    openblas = bundled_openblas()
+    if openblas is None:
         yield
         return
-    saved = get()
+    saved = openblas.scipy_openblas_get_num_threads64_()
     try:
-        set_(1)
+        openblas.scipy_openblas_set_num_threads64_(1)
         yield
     finally:
-        set_(saved)
+        openblas.scipy_openblas_set_num_threads64_(saved)
 
 
 def _top_eigenpairs(gram: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs lo..r-1 (ascending) of the r x r Hermitian ``gram``, from
     its lower triangle, as ``scipy.linalg.eigh(gram, subset_by_index=[lo,
-    r-1])`` returns them, with its finite check; without the bundled routine,
+    r-1])`` returns them, with its finite check; without the bundled OpenBLAS,
     the same pairs of ``np.linalg.eigh(gram)``: the same subspace, not bits."""
     if not np.isfinite(gram).all():
         raise NumericalError("the received block's Gram matrix is not finite")
     r = gram.shape[0]
-    zheevr = _lapacke_zheevr()
-    if zheevr is None:
+    openblas = bundled_openblas()
+    if openblas is None:
         try:
             w, v = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as exc:
@@ -165,9 +157,9 @@ def _top_eigenpairs(gram: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
     v = np.empty((r, r - lo), dtype=np.complex128, order="F")
     isuppz = np.empty(2 * (r - lo), dtype=np.int64)
     found = ctypes.c_int64()
-    info = zheevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", r, a.ctypes.data, r, 0.0, 0.0,
-                  lo + 1, r, 0.0, ctypes.byref(found), w.ctypes.data, v.ctypes.data, r,
-                  isuppz.ctypes.data)
+    info = openblas.scipy_LAPACKE_zheevr64_(
+        _LAPACK_COL_MAJOR, b"V", b"I", b"L", r, a.ctypes.data, r, 0.0, 0.0, lo + 1, r, 0.0,
+        ctypes.byref(found), w.ctypes.data, v.ctypes.data, r, isuppz.ctypes.data)
     if info != 0:
         raise NumericalError(f"Hermitian eigensolver failed: LAPACKE_zheevr info={info}")
     return w[:found.value], v[:, :found.value]

@@ -478,13 +478,11 @@ def density_from_stieltjes(evaluator, x_grid, eps: float = 1e-3) -> np.ndarray:
         g = evaluator(s)
     except Exception:  # fall back to per-point evaluation to locate it
         g = np.empty(x_grid.shape, dtype=complex)
-        for i, sc in enumerate(np.atleast_1d(s)):
+        for i, sc in enumerate(map(complex, s.flat)):
             try:
-                g_val = evaluator(complex(sc))
+                g_val = evaluator(sc)
             except Exception as exc:
-                raise type(exc)(
-                    f"density evaluation failed at x={complex(sc).real:.6g}: {exc}"
-                ) from exc
+                raise type(exc)(f"density evaluation failed at x={sc.real:.6g}: {exc}") from exc
             g.flat[i] = g_val
     return np.clip(np.asarray(g).imag / np.pi, 0.0, None)
 

@@ -981,7 +981,7 @@ def test_numpy_alone_gives_the_pinned_payloads(tmp_path):
             "sys.modules['scipy'] = None\n"
             "from mimospectra import cli, estimation\n"
             "estimation.bundled_openblas = lambda: None\n"
-            "assert estimation._lapacke_zheevr() is None and estimation._cblas_zgemm() is None\n"
+            "assert estimation.bundled_openblas() is None\n"
             "payloads = {}\n"
             "for kind, raw in json.loads(Path(sys.argv[1]).read_text()).items():\n"
             "    cfg = cli.parse_config(dict(raw, label=kind))\n"
@@ -1003,7 +1003,9 @@ def test_numpy_alone_gives_the_pinned_payloads(tmp_path):
 def test_failed_eigensolve_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     """A LAPACK failure in the subspace solve is a numerical failure, not a
     traceback."""
-    monkeypatch.setattr(estimation, "_lapacke_zheevr", lambda: lambda *args: 1)
+    openblas = estimation.bundled_openblas()._replace(
+        scipy_LAPACKE_zheevr64_=lambda *args: 1)
+    monkeypatch.setattr(estimation, "bundled_openblas", lambda: openblas)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(PIN_CONFIGS["ber"]))
     out = tmp_path / "out"

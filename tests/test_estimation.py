@@ -3,6 +3,7 @@
 import ast
 import ctypes
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -157,14 +158,6 @@ def _assert_same_projector(u, u_ref):
     np.testing.assert_allclose(u @ u.conj().T, u_ref @ u_ref.conj().T, rtol=0.0, atol=1e-12)
 
 
-@pytest.fixture
-def fresh_lookup():
-    """Clear the cached solver lookup around a test that patches it."""
-    estimation._openblas_function.cache_clear()
-    yield
-    estimation._openblas_function.cache_clear()
-
-
 class TestHermitianSolver:
     """The top eigenpairs come from the bundled LAPACKE_zheevr, bitwise equal
     to scipy.linalg.eigh(subset_by_index=...), which calls the same routine."""
@@ -188,16 +181,12 @@ class TestHermitianSolver:
             assert w.tobytes() == w_ref.tobytes() and w.shape == (r - lo,)
             assert v.tobytes() == v_ref.tobytes() and v.strides == v_ref.strides
 
-    def test_bundled_solver_found(self):
-        assert estimation._lapacke_zheevr() is not None
-
     @pytest.mark.parametrize("m,n,k", [(200, 400, 5), (200, 60, 15), (15, 40, 15)])
-    def test_fallback_gives_same_subspace(self, m, n, k, fresh_lookup, monkeypatch):
+    def test_fallback_gives_same_subspace(self, m, n, k, monkeypatch):
         y = _ber_block(1, "iid", m, n, k)
         bundled = signal_subspace(y, k)
         monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
-        estimation._openblas_function.cache_clear()
-        assert estimation._lapacke_zheevr() is None
+        assert estimation.bundled_openblas() is None
         _assert_same_projector(signal_subspace(y, k), bundled)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
@@ -205,7 +194,7 @@ class TestHermitianSolver:
     @pytest.mark.parametrize("bundled", [True, False])
     def test_non_finite_block_is_numerical_error(self, rng, bad, bundled, monkeypatch):
         if not bundled:
-            monkeypatch.setattr(estimation, "_lapacke_zheevr", lambda: None)
+            monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
         y = crandn(rng, 8, 16)
         y[3, 5] = bad
         with pytest.raises(NumericalError, match="not finite") as info:
@@ -214,7 +203,9 @@ class TestHermitianSolver:
 
     @pytest.mark.parametrize("code", [-1010, 1])
     def test_lapack_info_is_numerical_error(self, rng, code, monkeypatch):
-        monkeypatch.setattr(estimation, "_lapacke_zheevr", lambda: lambda *args: code)
+        openblas = estimation.bundled_openblas()._replace(
+            scipy_LAPACKE_zheevr64_=lambda *args: code)
+        monkeypatch.setattr(estimation, "bundled_openblas", lambda: openblas)
         with pytest.raises(NumericalError, match=f"info={code}$") as info:
             signal_subspace(crandn(rng, 8, 16), 2)
         assert len(str(info.value).splitlines()) == 1
@@ -245,7 +236,7 @@ class TestGramProduct:
     @pytest.mark.parametrize("m,n,k", SHAPES)
     def test_gram_is_numpys_product(self, m, n, k, bundled, monkeypatch):
         if not bundled:
-            monkeypatch.setattr(estimation, "_openblas_function", lambda *args: None)
+            monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
         y = _ber_block(m + n, "iid", m, n, k)
         left = m <= n
         want = y @ y.conj().T if left else y.conj().T @ y
@@ -254,9 +245,6 @@ class TestGramProduct:
         lo = min(m, n) - min(k + 1, m, n)
         (w, v), (w_ref, v_ref) = (estimation._top_eigenpairs(g, lo) for g in (gram, want))
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-
-    def test_bundled_product_found(self):
-        assert estimation._cblas_zgemm() is not None
 
     @pytest.mark.parametrize("adjoint", [None, 0, 1])
     def test_other_operands_take_numpys_product(self, rng, adjoint):
@@ -279,23 +267,39 @@ class TestGramProduct:
 
 
 class TestOpenblasBinding:
-    """``estimation`` is the one module that binds numpy's bundled OpenBLAS;
-    without that library the thread cap and the solve fall back."""
+    """``estimation`` is the one module that binds numpy's bundled OpenBLAS,
+    all four symbols or none; without them the thread cap, the products and
+    the solve fall back."""
 
-    def test_no_bundled_openblas(self, fresh_lookup, monkeypatch):
+    def test_bundled_openblas_holds_every_symbol(self):
+        openblas = estimation.bundled_openblas()
+        assert openblas is not None and openblas._fields == tuple(estimation._SYMBOLS)
+        for fn, (restype, *argtypes) in zip(openblas, estimation._SYMBOLS.values()):
+            assert fn.restype is restype and list(fn.argtypes) == argtypes
+
+    @pytest.mark.parametrize("missing", list(estimation._SYMBOLS))
+    def test_one_missing_symbol_binds_nothing(self, missing, monkeypatch):
+        # a stand-in library that exports every symbol but ``missing``
+        def stand_in(names):
+            return types.SimpleNamespace(**{name: types.SimpleNamespace() for name in names})
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: stand_in(estimation._SYMBOLS))
+        assert estimation.bundled_openblas.__wrapped__() is not None
+        rest = set(estimation._SYMBOLS) - {missing}
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: stand_in(rest))
+        assert estimation.bundled_openblas.__wrapped__() is None
+
+    def test_no_bundled_openblas(self, monkeypatch):
         y = _ber_block(1, "iid", 200, 60, 15)
         bundled = signal_subspace(y, 15)
         monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
-        estimation._openblas_function.cache_clear()
-        assert estimation._openblas_function("scipy_openblas_get_num_threads64_",
-                                             ctypes.c_int) is None
+        assert estimation.bundled_openblas() is None
         ran = []
         with estimation.one_blas_thread():
             ran.append(True)
         assert ran == [True]
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
         assert sim._map_trials(lambda t: t * t, 10) == [t * t for t in range(10)]
-        assert estimation._lapacke_zheevr() is None
         _assert_same_projector(signal_subspace(y, 15), bundled)
 
     def test_only_estimation_binds_openblas(self):

@@ -708,6 +708,26 @@ class TestErrorContracts:
         assert str(info.value) == ("density evaluation failed at x=0.55: "
                                    "synthetic point failure")
 
+    def test_density_falls_back_point_by_point_on_a_2d_grid(self):
+        # the fallback used to loop over the grid's rows and end in a TypeError
+        def evaluator(s):
+            if np.ndim(s):
+                raise ValueError("synthetic array failure")
+            if s.real == 0.55:
+                raise ConfigError("synthetic point failure")
+            return -1 / s
+
+        x = np.array([[0.1, 0.3, 0.5], [0.7, 0.9, 1.1]])
+        dens = rmt.density_from_stieltjes(evaluator, x, eps=1e-3)
+        flat = rmt.density_from_stieltjes(evaluator, x.ravel(), eps=1e-3)
+        assert dens.shape == (2, 3) and np.array_equal(dens, flat.reshape(2, 3))
+        x[1, 1] = 0.55
+        with pytest.raises(ConfigError) as info:
+            rmt.density_from_stieltjes(evaluator, x, eps=1e-3)
+        assert type(info.value) is ConfigError
+        assert str(info.value) == ("density evaluation failed at x=0.55: "
+                                   "synthetic point failure")
+
 
 def test_every_export_has_a_caller_in_the_program():
     """Each name in rmt.__all__ appears as a whole word in some program file

@@ -1,6 +1,5 @@
 """Monte Carlo experiment engine: eigen experiments, BER sweeps, determinism."""
 
-import ctypes
 import os
 import sys
 import threading
@@ -218,7 +217,7 @@ class TestDrawBlock:
     @pytest.mark.parametrize("scenario,m,n,k,l", SHAPES)
     def test_equals_product_plus_noise(self, scenario, m, n, k, l, bundled, monkeypatch):
         if not bundled:
-            monkeypatch.setattr(estimation, "_openblas_function", lambda *args: None)
+            monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
         (y, x), (y_ref, x_ref) = self._draw(scenario, m, n, k, l)
         assert y.shape == (m, n) and y.tobytes() == y_ref.tobytes()
         assert x.tobytes() == x_ref.tobytes()
@@ -468,17 +467,14 @@ class TestUsableCpus:
 def blas_threads():
     """Getter of numpy's OpenBLAS thread count, set to 2 for the test and
     restored after; None where that library is not found."""
-    get = estimation._openblas_function("scipy_openblas_get_num_threads64_",
-                                        ctypes.c_int)
-    set_ = estimation._openblas_function("scipy_openblas_set_num_threads64_", None,
-                                         ctypes.c_int)
-    if get is None or set_ is None:
+    openblas = estimation.bundled_openblas()
+    if openblas is None:
         yield None
         return
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
+    before = openblas.scipy_openblas_get_num_threads64_()
+    openblas.scipy_openblas_set_num_threads64_(2)
+    yield openblas.scipy_openblas_get_num_threads64_
+    openblas.scipy_openblas_set_num_threads64_(before)
 
 
 class TestBlasThreads:
