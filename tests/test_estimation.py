@@ -181,6 +181,10 @@ class TestHermitianSolver:
             assert w.tobytes() == w_ref.tobytes() and w.shape == (r - lo,)
             assert v.tobytes() == v_ref.tobytes() and v.strides == v_ref.strides
 
+    def test_bundled_solver_found(self):
+        openblas = estimation.bundled_openblas()
+        assert openblas is not None and callable(openblas.scipy_LAPACKE_zheevr64_)
+
     @pytest.mark.parametrize("m,n,k", [(200, 400, 5), (200, 60, 15), (15, 40, 15)])
     def test_fallback_gives_same_subspace(self, m, n, k, monkeypatch):
         y = _ber_block(1, "iid", m, n, k)
@@ -245,6 +249,10 @@ class TestGramProduct:
         lo = min(m, n) - min(k + 1, m, n)
         (w, v), (w_ref, v_ref) = (estimation._top_eigenpairs(g, lo) for g in (gram, want))
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_bundled_product_found(self):
+        openblas = estimation.bundled_openblas()
+        assert openblas is not None and callable(openblas.scipy_cblas_zgemm64_)
 
     @pytest.mark.parametrize("adjoint", [None, 0, 1])
     def test_other_operands_take_numpys_product(self, rng, adjoint):
