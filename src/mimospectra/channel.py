@@ -96,7 +96,7 @@ class SystemParams:
                 warnings.warn(
                     "users_per_cell / AoA count exceeds 0.2; the asymptotic "
                     "user-orthogonality regime assumes K << P",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             object.__setattr__(self, "aoa_counts", tuple(int(p) for p in counts))
 

@@ -119,7 +119,7 @@ class DoubleSidedParams:
             raise ConfigError("powers must be positive")
         if self.p_signal < self.p_interference:
             warnings.warn("p_signal < p_interference: outside the intended "
-                          "separation regime", stacklevel=2)
+                          "separation regime", stacklevel=3)
 
     @property
     def alpha(self) -> float:
@@ -313,8 +313,7 @@ def _law_table(build):
                 out = build(*args, **kwargs)
         except OverflowError:  # a Python float power
             out = np.array(np.inf)
-        if not all(t.dtype.kind != "f" or np.isfinite(t).all()
-                   for t in (out if isinstance(out, tuple) else [out])):
+        if out.dtype.kind == "f" and not np.isfinite(out).all():
             named = inspect.signature(build).bind(*args, **kwargs).arguments
             listed = ", ".join(f"{k}={v!r}" for k, v in named.items())
             raise ConfigError(f"{build.__name__}({listed}) overflows a float")
@@ -361,9 +360,9 @@ def iid_table(p_s: float, alpha: float, gamma: float) -> np.ndarray:
 
 
 @_law_table
-def double_sided_parts(p: DoubleSidedParams, truncated: bool = False
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Tables of T and Q in the double-sided relation T + R = 0, R^2 = Q.
+def double_sided_table(p: DoubleSidedParams, truncated: bool = False) -> np.ndarray:
+    """The radical-free double-sided polynomial F = T^2 - Q (degree 8 in G)
+    of the relation T + R = 0, R^2 = Q.
 
     With u = 1 + sG, T = G (c1 u + c2 u^2 + c3 u^3 - 2 L p_I p_S)
     + L (p_I + p_S) u + p_I - p_S - L p_I and Q = q2 u^2 + q1 u + q0 is the
@@ -382,13 +381,6 @@ def double_sided_parts(p: DoubleSidedParams, truncated: bool = False
     q = _table(_of_upsilon((ps + (l - 1) * pi) ** 2,
                            2.0 * l * (pi ** 2 * (1 - l) - ps ** 2 + l * pi * ps),
                            l ** 2 * (ps - pi) ** 2))
-    return t, q
-
-
-@_law_table
-def double_sided_table(p: DoubleSidedParams, truncated: bool = False) -> np.ndarray:
-    """The radical-free double-sided polynomial F = T^2 - Q (degree 8 in G)."""
-    t, q = double_sided_parts(p, truncated)
     f = np.zeros((2 * len(t) - 1, 2 * t.shape[1] - 1))
     for (i, j), c in np.ndenumerate(t):
         f[i:i + len(t), j:j + t.shape[1]] += c * t
@@ -448,13 +440,7 @@ def stieltjes_double_sided(s, params: DoubleSidedParams):
 
 
 def double_sided_residual(s: complex, g: complex, params: DoubleSidedParams) -> float:
-    """Normalized residual of the unsquared defining relation T(G) = -R with
-    the radical branch chosen to minimize it."""
-    t, q = (coeffs_at(tab, [complex(s)])[:, 0] @ complex(g) ** np.arange(tab.shape[1])
-            for tab in double_sided_parts(params))
-    r = np.sqrt(complex(q))
-    scale = abs(t) + abs(r) + 1e-300
-    return min(abs(t + r), abs(t - r)) / scale
+    return _normalized_residual(double_sided_table(params), s, g)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,10 @@ class TestDrawAoaSet:
         a = draw_aoa_set(3, 99)
         assert np.all((a >= 0) & (a <= np.pi))
 
+    def test_no_paths_rejected(self):
+        with pytest.raises(ConfigError, match="num_paths"):
+            draw_aoa_set(0, np.random.default_rng(0))
+
 
 class TestBuildSteeringMatrix:
     def test_single_broadside_column(self):
@@ -290,8 +294,11 @@ class TestRealizeChannel:
             _params(aoa_counts=(4,))
 
     def test_k_over_p_warns(self):
-        with pytest.warns(UserWarning, match="K << P"):
+        with pytest.warns(UserWarning, match="K << P") as caught:
             _params(aoa_counts=(20,))
+        # the warning names the line that built the params, not the
+        # generated __init__
+        assert [w.filename for w in caught] == [__file__]
 
     def test_determinism(self):
         a = realize_channel(_params(), 11)

@@ -76,6 +76,11 @@ class TestParseConfig:
         again = cli.parse_config(json.loads(json.dumps(clean)))
         assert {k: v for k, v in again.items() if not k.startswith("_")} == clean
 
+    def test_unknown_preset_rejected(self):
+        # the CLI's argparse choices refuse it first; the library call names it
+        with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+            cli.load_config("nope", None, "paper", {})
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="kind"):
             cli.parse_config({"num_antennas": 8})
@@ -149,6 +154,11 @@ class TestRunPreset:
     def test_empty_payload_rejected(self):
         with pytest.raises(ConfigError, match="no data"):
             cli.plot_data({"payload": {}, "config_hash": "x", "seed": 0,
+                           "config": {"label": "x"}})
+
+    def test_unrecognized_payload_rejected(self):
+        with pytest.raises(ConfigError, match="no recognized sections"):
+            cli.plot_data({"payload": {"other": {}}, "config_hash": "x", "seed": 0,
                            "config": {"label": "x"}})
 
     def test_failure_leaves_no_partial_files(self, tmp_path, monkeypatch):
@@ -627,6 +637,37 @@ BAD_INPUTS = {
                                         dict(_DISTINCT_LAW, num_users=-5)),
     "support-distinct-no-aoas": ("num_aoas", ["support", "--mode", "distinct"],
                                  dict(_DISTINCT_LAW, num_aoas=0)),
+    # refusals that always ended in one line but that no other case reached:
+    # a --set item, a file that holds a list, system parameters, a
+    # law-parameter file's own checks, a BER block with no data column and an
+    # integer too large for a float
+    "set-no-equals": ("key=value", ["--set", "foo"], PIN_CONFIGS["eigen"]),
+    "config-list": ("list", [], [PIN_CONFIGS["eigen"]]),
+    "support-params-list": ("list", ["support", "--mode", "double"], [_DOUBLE_LAW]),
+    "config-scenario-bogus": ("scenario", [], dict(PIN_CONFIGS["eigen"], scenario="bogus")),
+    "set-signal-power-zero": ("signal_power", ["--set", "signal_power=0"],
+                              PIN_CONFIGS["eigen"]),
+    "set-interference-power-negative": ("interference_power",
+                                        ["--set", "interference_power=-1"],
+                                        PIN_CONFIGS["eigen"]),
+    "config-counts-fewer-than-cells": ("aoa_counts", [], dict(PIN_CONFIGS["eigen"], num_cells=4,
+                                                             aoa_counts=[100, 100])),
+    "config-identical-unequal-counts": ("identical_aoas", [],
+                                        dict(PIN_CONFIGS["eigen"], num_cells=4,
+                                             aoa_counts=[100, 100, 100, 50])),
+    "config-short-no-data": ("block_length", [], dict(PIN_CONFIGS["ber_short"],
+                                                      users_per_cell=15, n_values=[15])),
+    "stieltjes-onesided-no-antennas": ("m must be >= 1", ["stieltjes", "--law", "onesided"],
+                                       dict(scale=0.1, inner_dim=5, m=0, n=1000, p=200)),
+    "support-double-no-signal-power": ("powers", ["support", "--mode", "double"],
+                                       dict(_DOUBLE_LAW, p_signal=0)),
+    "support-distinct-one-cell": ("cells", ["support", "--mode", "distinct"],
+                                  dict(_DISTINCT_LAW, num_cells=1)),
+    "config-interference-terms-one-cell": ("interference", [],
+                                           dict(PIN_CONFIGS["eigen"], terms="interference",
+                                                num_cells=1)),
+    "set-trials-zero": ("trials", ["--set", "trials=0"], PIN_CONFIGS["eigen"]),
+    "set-snr-huge-integer": ("snr_db", ["--set", "snr_db=" + "1" * 400], PIN_CONFIGS["ber"]),
 }
 
 
@@ -678,6 +719,16 @@ def test_bad_input_is_one_line_config_error(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert not out.exists() and not captured.out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json"]
+
+
+def test_run_without_preset_or_config_is_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--out", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert rc == 2 and not captured.out
+    assert err.startswith("config error") and "--preset" in err and "--config" in err
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 # (exit code, argv, params) of law inputs whose roots cannot be taken: a
@@ -876,7 +927,7 @@ def test_overflowing_overlay_is_skipped_with_a_warning(tmp_path):
     eigen = json.loads((tmp_path / "out" / "eigen_result.json").read_text())["payload"]["eigen"]
     assert eigen["samples_per_trial"] and "double_sided" not in eigen["supports"]
     assert any(str(w.message).startswith("could not attach double_sided support: "
-                                         "double_sided_parts(") for w in caught)
+                                         "double_sided_table(") for w in caught)
 
 
 # a small eigen run (its Monte Carlo samples differ in the last digits with

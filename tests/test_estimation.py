@@ -214,6 +214,16 @@ class TestHermitianSolver:
             signal_subspace(crandn(rng, 8, 16), 2)
         assert len(str(info.value).splitlines()) == 1
 
+    def test_fallback_solver_failure_is_numerical_error(self, rng, monkeypatch):
+        def fail(gram):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(estimation, "bundled_openblas", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="Eigenvalues did not converge$") as info:
+            signal_subspace(crandn(rng, 8, 16), 2)
+        assert len(str(info.value).splitlines()) == 1
+
     def test_pilot_is_scipy_dft(self):
         for k in range(1, 17):
             pilot = PilotLayout(num_users=k, block_length=k + 1).pilot
@@ -480,6 +490,10 @@ class TestQpsk:
     def test_odd_bit_count_rejected(self):
         with pytest.raises(ConfigError):
             qpsk_map(np.array([0, 1, 0]))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            count_bit_errors(np.ones((2, 3), dtype=complex), np.ones((3, 2), dtype=complex))
 
     def test_quantizer_zero_default(self):
         out = qpsk_quantize(np.zeros((2, 2), dtype=complex))

@@ -675,10 +675,11 @@ class TestErrorContracts:
             rmt.density_from_stieltjes(LAWS["onesided"][0], [0.05, math.nan])
 
     def test_power_ordering_warns(self):
-        with pytest.warns(UserWarning, match="separation regime"):
+        with pytest.warns(UserWarning, match="separation regime") as caught:
             rmt.DoubleSidedParams(num_users=5, num_cells=4, num_antennas=400,
                                   block_length=1000, num_aoas=200,
                                   p_signal=0.01, p_interference=0.025)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_density_failure_reports_grid_location(self):
         def evaluator(s):

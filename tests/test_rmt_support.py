@@ -223,6 +223,17 @@ class TestAntennaSaturationLimit:
         assert np.abs(dens_phys - dens_iid).max() < 0.05 * dens_iid.max()
 
 
+@pytest.mark.parametrize("intervals,match", [
+    ([(0.1, 0.1)], "degenerate interval"),
+    ([(0.2, 0.1)], "degenerate interval"),
+    ([(0.1, 0.3), (0.2, 0.4)], "disjoint and sorted"),
+    ([(0.3, 0.4), (0.1, 0.2)], "disjoint and sorted"),
+], ids=["empty", "reversed", "overlapping", "unsorted"])
+def test_bad_support_intervals_rejected(intervals, match):
+    with pytest.raises(ConfigError, match=match):
+        rmt.SpectralSupport(intervals)
+
+
 class TestSortedRealRoots:
     """The batched companion-matrix root finder against per-point np.roots."""
 

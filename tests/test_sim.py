@@ -38,6 +38,10 @@ class TestPowerDiagonal:
         np.testing.assert_allclose(values, [0.025, 0.1])
         np.testing.assert_array_equal(counts, [15, 5])
 
+    def test_zero_signal_power_rejected(self):
+        with pytest.raises(ConfigError, match="powers must be positive"):
+            sim.worst_case_power_diagonal(5, 4, 0.0, 0.025)
+
 
 class TestEigenExperiment:
     def test_single_cell_rank(self):
@@ -393,6 +397,46 @@ class TestBerExperiment:
         large = sim.run_ber_experiment(p, [-6.0], bits_target=120_000, seed=2)
         width = lambda r: r[0].ci_hi - r[0].ci_lo
         assert width(large["subspace"]) < width(small["subspace"])
+
+
+class TestLeftUnitaryInvariance:
+    """Both detectors see the block only through products that a left unitary
+    Q leaves alone: their decisions on Y and on Q^H Y are equal, with Q from
+    a complete QR of the block's own channel (the rotation that confines the
+    signal to the first K L rows)."""
+
+    GEOMETRIES = {
+        "physical-m-below-n": dict(num_antennas=60, block_length=120, aoa_counts=(40,)),
+        "iid-m-above-n": dict(num_antennas=120, block_length=40, scenario="iid",
+                              aoa_counts=()),
+        "physical-two-cells": dict(num_antennas=50, block_length=200, num_cells=2,
+                                   aoa_counts=(30,)),
+    }
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_decisions_equal_on_rotated_block(self, geometry):
+        p = _params(noise_enabled=True, spacing_ratio=0.5, **self.GEOMETRIES[geometry])
+        k, l = p.users_per_cell, p.num_cells
+        layout = estimation.PilotLayout(num_users=k, block_length=p.block_length)
+        amp = np.sqrt(sim.worst_case_power_diagonal(k, l, 1.0, sim.db_to_linear(-6.0)))
+
+        def symbols(rng):
+            return np.vstack([layout.assemble(layout.data_block(rng)) for _ in range(l)])
+
+        def decisions(y):
+            model = estimation.estimate_subspace_channel(y, layout)
+            return (estimation.mf_detect(model.projected[:, k:], model.estimate),
+                    estimation.pilot_based_detect(y, layout))
+
+        for seed in range(20):
+            y, _ = sim.draw_block(p, sim.trial_rng(seed, (0, 0)), symbols, amp)
+            composite = sim.realize_channel(p, sim.trial_rng(seed, (0, 0))).composite
+            q = np.linalg.qr(composite, mode="complete")[0]
+            rotated = q.conj().T @ y
+            for got, want in zip(decisions(rotated), decisions(y)):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_allclose(np.linalg.svd(rotated, compute_uv=False),
+                                       np.linalg.svd(y, compute_uv=False), rtol=1e-10, atol=0)
 
 
 class TestDistinctAndShortCoherence:
